@@ -17,7 +17,6 @@ from .core_math import (
     bvn_low,
     bvn_up,
     gaussian_integrals,
-    sample_gaussians,
     std_normal_cdf,
     std_normal_quantile,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "bvn_low",
     "bvn_up",
     "gaussian_integrals",
-    "sample_gaussians",
     "std_normal_cdf",
     "std_normal_quantile",
     "__version__",

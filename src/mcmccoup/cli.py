@@ -35,7 +35,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="random seed (mandatory here or in the config)")
     parser.add_argument("--scale", choices=SCALES, help="desk (minutes) or paper (full size)")
     parser.add_argument("--out", help="output directory (default: results)")
-    parser.add_argument("--threads", type=int, help="replicate worker pool size")
+    parser.add_argument(
+        "--threads", type=int, metavar="K",
+        help="replicate worker threads; results do not depend on K, and K > 1"
+        " has not been faster, since each step holds the interpreter lock",
+    )
     parser.add_argument(
         "--set",
         dest="overrides",

@@ -18,7 +18,6 @@ from scipy.special import log_ndtr, ndtr, ndtri
 
 __all__ = [
     "std_normal_cdf",
-    "std_normal_log_cdf",
     "std_normal_quantile",
     "exp_times_cdf",
     "bvn_low",
@@ -26,7 +25,6 @@ __all__ = [
     "GaussianIntegrals",
     "gaussian_integrals",
     "RngStream",
-    "sample_gaussians",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -35,11 +33,6 @@ _TWO_PI = 2.0 * math.pi
 def std_normal_cdf(x):
     """Standard normal CDF, vectorized; accurate in both tails."""
     return ndtr(x)
-
-
-def std_normal_log_cdf(x):
-    """log Phi(x), stable for very negative x."""
-    return log_ndtr(x)
 
 
 def std_normal_quantile(p):
@@ -259,15 +252,8 @@ class RngStream:
         return self._gen.standard_normal(size)
 
     def uniform(self, size=None):
-        return self._gen.uniform(size=size)
+        return self._gen.random(size)  # the doubles of uniform(0, 1), minus its affine map
 
     def spawn(self, stream_id: int) -> "RngStream":
         """Sibling stream with the same seed and a fresh stream id."""
         return RngStream(self.seed, stream_id)
-
-
-def sample_gaussians(n: int, rng: RngStream) -> np.ndarray:
-    """n iid standard normals from the given stream."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return rng.standard_normal(int(n))

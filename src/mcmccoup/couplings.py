@@ -31,7 +31,6 @@ import numpy as np
 
 from .core_math import RngStream
 from .kernels import (
-    AnisotropicGaussian,
     HopParams,
     HugParams,
     accept_log_ratio,
@@ -50,9 +49,7 @@ __all__ = [
     "reflection_maximal_pair",
     "maximal_independent_pair",
     "coupled_rwm_step",
-    "two_scale_rwm_step",
     "cross_target_coupled_step",
-    "cross_target_gcrn_step",
     "coupled_hug_step",
     "coupled_hug_hop_step",
 ]
@@ -69,6 +66,7 @@ COUPLING_KINDS = (
 )
 
 _GRAD_KINDS = ("gcrn", "gcrn-rotation", "gcrn-reflect")
+_INCREMENT_KINDS = ("crn", "reflection") + _GRAD_KINDS
 
 
 @dataclass(frozen=True)
@@ -104,7 +102,7 @@ class CoupledChainState:
 
 
 def _unit(v: np.ndarray):
-    n = float(np.linalg.norm(v))
+    n = math.sqrt(float(v.dot(v)))  # np.linalg.norm of a 1-d array, bit for bit
     if n == 0.0 or not math.isfinite(n):
         return None
     return v / n
@@ -263,10 +261,27 @@ def _common_rwm_advance(state: CoupledChainState, h: float, target: TargetModel,
     return CoupledChainState(x=x_new, y=x_new, t=state.t + 1, met=True, branch="common")
 
 
-def _grad_directions(target_x, target_y, x, y):
-    n_x = _unit(target_x.grad(x))
-    n_y = _unit(target_y.grad(y))
-    return n_x, n_y
+def _increment_proposals(kind, x, y, h, target_x, target_y, rng: RngStream):
+    """Proposals x + h z_x, y + h z_y from one shared draw (z, and z1 for gcrn).
+
+    Each chain takes its gradient direction from its own target.  A
+    vanishing gradient or difference falls back to crn, which keeps both
+    chains marginally exact.  Returns (prop_x, prop_y, kind actually used).
+    """
+    z = rng.standard_normal(x.size)
+    z1 = float(rng.standard_normal()) if kind == "gcrn" else None
+    n_x = n_y = e = None
+    if kind in _GRAD_KINDS:
+        n_x = _unit(target_x.grad(x))
+        n_y = _unit(target_y.grad(y))
+        if n_x is None or n_y is None:
+            kind = "crn"
+    if kind == "reflection":
+        e = _unit(x - y)
+        if e is None:
+            kind = "crn"
+    zx, zy = couple_increments(kind, z, z1=z1, n_x=n_x, n_y=n_y, e=e)
+    return x + h * zx, y + h * zy, kind
 
 
 def coupled_rwm_step(
@@ -295,20 +310,8 @@ def coupled_rwm_step(
         branch = "gcrn" if sq >= cspec.delta else "reflection-maximal"
         kind = branch
 
-    if kind in ("crn", "reflection", "gcrn", "gcrn-rotation", "gcrn-reflect"):
-        z = rng.standard_normal(x.size)
-        z1 = float(rng.standard_normal()) if kind == "gcrn" else None
-        n_x = n_y = e = None
-        if kind in _GRAD_KINDS:
-            n_x, n_y = _grad_directions(target, target, x, y)
-            if n_x is None or n_y is None:
-                kind = "crn"  # degenerate gradient: fall back, still marginal
-        if kind == "reflection":
-            e = _unit(x - y)
-            if e is None:
-                kind = "crn"
-        zx, zy = couple_increments(kind, z, z1=z1, n_x=n_x, n_y=n_y, e=e)
-        prop_x, prop_y = x + h * zx, y + h * zy
+    if kind in _INCREMENT_KINDS:
+        prop_x, prop_y, _ = _increment_proposals(kind, x, y, h, target, target, rng)
         coalesced = False
     elif kind == "reflection-maximal":
         prop_x, prop_y, coalesced = reflection_maximal_pair(x, y, h, rng)
@@ -326,21 +329,10 @@ def coupled_rwm_step(
     acc_y = accept_log_ratio(log_prop_y - target.log_density(y), u)
     x_new = prop_x if acc_x else x
     y_new = prop_y if acc_y else y
-    met = (x_new is y_new) or bool(np.array_equal(x_new, y_new))
+    met = (x_new is y_new) or bool((x_new == y_new).all())
     if met and x_new is not y_new:
         y_new = x_new
     return CoupledChainState(x=x_new, y=y_new, t=state.t + 1, met=met, branch=branch)
-
-
-def two_scale_rwm_step(
-    state: CoupledChainState,
-    delta: float,
-    h: float,
-    target: TargetModel,
-    rng: RngStream,
-) -> CoupledChainState:
-    """gcrn while ||X-Y||^2 >= delta, reflection-maximal below it."""
-    return coupled_rwm_step(state, CouplingSpec("two-scale", delta=delta), h, target, rng)
 
 
 def cross_target_coupled_step(
@@ -357,23 +349,11 @@ def cross_target_coupled_step(
     target in both the gradient direction and the acceptance ratio.  The
     chains never meet (the targets differ), so met is never set.
     """
-    if kind not in ("crn", "reflection", "gcrn", "gcrn-rotation", "gcrn-reflect"):
+    if kind not in _INCREMENT_KINDS:
         raise ValueError(f"cross-target coupling does not support kind {kind!r}")
     x, y = state.x, state.y
-    z = rng.standard_normal(x.size)
-    z1 = float(rng.standard_normal()) if kind == "gcrn" else None
-    n_x = n_y = e = None
-    if kind in _GRAD_KINDS:
-        n_x, n_y = _grad_directions(target_x, target_y, x, y)
-        if n_x is None or n_y is None:
-            kind = "crn"
-    if kind == "reflection":
-        e = _unit(x - y)
-        if e is None:
-            kind = "crn"
-    zx, zy = couple_increments(kind, z, z1=z1, n_x=n_x, n_y=n_y, e=e)
+    prop_x, prop_y, kind = _increment_proposals(kind, x, y, h, target_x, target_y, rng)
     u = float(rng.uniform())
-    prop_x, prop_y = x + h * zx, y + h * zy
     acc_x = accept_log_ratio(target_x.log_density(prop_x) - target_x.log_density(x), u)
     acc_y = accept_log_ratio(target_y.log_density(prop_y) - target_y.log_density(y), u)
     return CoupledChainState(
@@ -383,16 +363,6 @@ def cross_target_coupled_step(
         met=False,
         branch=kind,
     )
-
-
-def cross_target_gcrn_step(
-    state: CoupledChainState,
-    h: float,
-    target_x: TargetModel,
-    target_y: TargetModel,
-    rng: RngStream,
-) -> CoupledChainState:
-    return cross_target_coupled_step(state, h, target_x, target_y, "gcrn", rng)
 
 
 def _hug_phase(x, y, hug, target, rng, met: bool):
@@ -428,7 +398,7 @@ def coupled_hug_step(
 ) -> CoupledChainState:
     """One coupled Hug move: both chains share the velocity and uniform."""
     x_new, y_new = _hug_phase(state.x, state.y, hug, target, rng, state.met)
-    met = state.met or (x_new is y_new) or bool(np.array_equal(x_new, y_new))
+    met = state.met or (x_new is y_new) or bool((x_new == y_new).all())
     if met and x_new is not y_new:
         y_new = x_new
     branch = "common" if state.met else "hug"
@@ -521,7 +491,7 @@ def coupled_hug_hop_step(
 
     x_new = _hop_accept(x_cur, law_x, prop_x)
     y_new = _hop_accept(y_cur, law_y, prop_y)
-    met = (x_new is y_new) or bool(np.array_equal(x_new, y_new))
+    met = (x_new is y_new) or bool((x_new == y_new).all())
     if met and x_new is not y_new:
         y_new = x_new
     return CoupledChainState(x=x_new, y=y_new, t=state.t + 1, met=met, branch=branch)

@@ -15,7 +15,6 @@ no matter how the replicates are scheduled.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -23,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .core_math import RngStream
 from .couplings import CoupledChainState
@@ -37,7 +37,6 @@ __all__ = [
     "stationary_bias_bound",
     "gelbrich_bound",
     "summary_stats",
-    "save_bound_curve",
 ]
 
 BOUND_METRICS = ("tv", "w2sq")
@@ -101,6 +100,18 @@ class BoundCurve:
             raise ValueError("bound estimates cannot be negative")
         if np.any(self.ci_low > self.estimate) or np.any(self.ci_high < self.estimate):
             raise ValueError("interval must contain the estimate")
+
+
+def _map_replicates(fn: Callable[[int], object], n: int, threads: int) -> list:
+    """[fn(0), ..., fn(n - 1)], computed on a pool of `threads` workers.
+
+    Replicates draw from streams keyed by their index, so the list is the
+    same for every pool size.
+    """
+    if threads == 1 or n == 1:
+        return [fn(r) for r in range(n)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, range(n)))
 
 
 def run_replicates(
@@ -173,11 +184,7 @@ def run_replicates(
         record = MeetingRecord(replicate=r, tau=tau, lag=lag, capped=capped)
         return record, np.asarray(trace, dtype=float)
 
-    if threads == 1 or n_replicates == 1:
-        results = [one(r) for r in range(n_replicates)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(n_replicates)))
+    results = _map_replicates(one, n_replicates, threads)
     records = [rec for rec, _ in results]
     traces = [tr for _, tr in results]
     return records, traces
@@ -351,44 +358,6 @@ def stationary_bias_bound(traces, burn_in: int) -> Tuple[float, Tuple[float, flo
     return est, (max(0.0, est - half), est + half)
 
 
-def _jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 200):
-    """Symmetric eigendecomposition by cyclic Jacobi rotation sweeps.
-
-    Sweeps 2x2 rotations over all off-diagonal pairs until the off-diagonal
-    Frobenius norm is at most tol.  Returns (eigenvalues, eigenvectors) with
-    a = V diag(w) V^T; quadratic convergence makes the absolute tolerance
-    reachable in a handful of sweeps for the small matrices used here.
-    """
-    a = np.array(a, dtype=float, copy=True)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return np.diag(a).copy(), v
-    for _ in range(max_sweeps):
-        off = a - np.diag(np.diag(a))
-        if math.sqrt(float(np.sum(off * off))) <= tol:
-            return np.diag(a).copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t_rot = math.copysign(1.0, diff) / (abs(diff) + math.hypot(1.0, diff))
-                c = 1.0 / math.hypot(1.0, t_rot)
-                s = t_rot * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    raise RuntimeError("rotation sweeps did not reach the off-diagonal tolerance")
-
-
 def _check_covariance(sigma: np.ndarray, name: str) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
@@ -400,7 +369,7 @@ def _check_covariance(sigma: np.ndarray, name: str) -> np.ndarray:
 
 
 def _psd_eigh(sigma: np.ndarray, name: str):
-    w, v = _jacobi_eigh(sigma)
+    w, v = eigh(sigma)
     floor = -1e-12 * max(1.0, float(np.abs(w).max()))
     if float(w.min()) < floor:
         raise ValueError(f"{name} is not positive semidefinite")
@@ -412,9 +381,9 @@ def gelbrich_bound(mu1, sigma1, mu2, sigma2) -> float:
 
     ||mu1 - mu2||^2 + tr(S1) + tr(S2) - 2 tr((S1^{1/2} S2 S1^{1/2})^{1/2})
 
-    All matrix square roots go through the in-house rotation eigensolver.
-    This is the exact squared Wasserstein-2 distance for Gaussians, hence a
-    lower bound for the empirical stationary bias estimates.
+    All matrix square roots go through symmetric eigendecompositions.  This
+    is the exact squared Wasserstein-2 distance for Gaussians, hence a lower
+    bound for the empirical stationary bias estimates.
     """
     mu1 = np.asarray(mu1, dtype=float).ravel()
     mu2 = np.asarray(mu2, dtype=float).ravel()
@@ -537,24 +506,3 @@ def summary_stats(trace) -> SummaryStats:
         norm_se=ses[2],
         n_steps=n_steps,
     )
-
-
-def save_bound_curve(path, curve: BoundCurve) -> None:
-    """Write a bound curve as CSV with one row per time point."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["metric", "t", "estimate", "ci_low", "ci_high", "n_replicates", "n_capped"]
-        )
-        for i in range(curve.t.size):
-            writer.writerow(
-                [
-                    curve.metric,
-                    repr(float(curve.t[i])),
-                    repr(float(curve.estimate[i])),
-                    repr(float(curve.ci_low[i])),
-                    repr(float(curve.ci_high[i])),
-                    curve.n_replicates,
-                    curve.n_capped,
-                ]
-            )

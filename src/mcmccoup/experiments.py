@@ -35,17 +35,17 @@ from .couplings import (
     reflection_maximal_pair,
 )
 from .diagnostics import (
+    _map_replicates,
+    _psd_eigh,
     gelbrich_bound,
-    _jacobi_eigh,
     run_replicates,
-    save_bound_curve,
     stationary_bias_bound,
     tv_bound_curve,
     w2_bound_curve,
 )
 from .fixed_points import h_rho, solve_fixed_point, sweep_asymptotes
 from .kernels import HopParams, HugParams, hug_proposal, rwm_step
-from .ode_limits import drift_c, g_value, integrate_w, save_trajectory, OdeState
+from .ode_limits import drift_c, g_value, integrate_w, OdeState
 from .targets import (
     Ar1Gaussian,
     DiagonalGaussian,
@@ -479,40 +479,87 @@ def _svm_setup(cfg: ExperimentConfig):
     return post, fit, h
 
 
-def _mean_s_trace(target, kind, h, d, n_steps, n_replicates, seed, x0=None, y0=None,
-                  z_minus1_sq=1.0, threads=1):
-    """Mean scaled squared distance ||X_t - Y_t||^2 / (d z_{-1}^2) over replicates.
+def _rwm_step(cspec: CouplingSpec, h: float, target):
+    def step(state, rng):
+        return coupled_rwm_step(state, cspec, h, target, rng)
 
-    Starting positions: independent stationary draws when x0/y0 are None,
-    otherwise the supplied deterministic arrays.
+    return step
+
+
+def _gap_traces(step, start, n_steps: int, n_replicates: int, seed: int, threads: int):
+    """Squared gaps ||X_t - Y_t||^2, t = 0..n_steps, one array per replicate.
+
+    Replicate r draws its starting pair start(rng) and then its steps from
+    RngStream(seed, r).  Callers normalise; whether they divide before or
+    after averaging replicates sets the last bits of their outputs.
     """
-    cspec = CouplingSpec(kind)
 
     def one(r):
         rng = RngStream(seed, r)
-        if x0 is None:
-            sx = target.sample(rng)
-            sy = target.sample(rng)
-        else:
-            sx, sy = x0.copy(), y0.copy()
-        state = CoupledChainState(x=sx, y=sy)
+        x, y = start(rng)
+        state = CoupledChainState(x=x, y=y)
         out = np.empty(n_steps + 1)
         gap = state.x - state.y
         out[0] = float(np.dot(gap, gap))
         for t in range(n_steps):
-            state = coupled_rwm_step(state, cspec, h, target, rng)
+            state = step(state, rng)
             gap = state.x - state.y
             out[t + 1] = float(np.dot(gap, gap))
         return out
 
-    if threads > 1 and n_replicates > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    return _map_replicates(one, n_replicates, threads)
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reps = list(pool.map(one, range(n_replicates)))
-    else:
-        reps = [one(r) for r in range(n_replicates)]
-    return np.mean(reps, axis=0) / (d * z_minus1_sq)
+
+def _meeting_records(cfg: ExperimentConfig, step, init, n_replicates=None, store_trace=True):
+    return run_replicates(
+        step, init, lag=cfg.lag, n_replicates=n_replicates or cfg.replicates,
+        max_iter=cfg.max_iter, seed=cfg.seed, store_trace=store_trace,
+        threads=cfg.threads,
+    )
+
+
+def _write_meetings(cfg: ExperimentConfig, rundir: _RunDir, records, traces) -> None:
+    """meetings.csv, plus TV and W2 bound curves when any replicate met."""
+    _write_csv(
+        rundir.path("meetings.csv"),
+        ["replicate", "tau", "lag", "capped"],
+        [[r.replicate, float(r.tau), r.lag, int(r.capped)] for r in records],
+    )
+    if not all(r.capped for r in records):
+        t_hi = max(r.tau for r in records if not r.capped) - cfg.lag
+        t_grid = np.unique(np.linspace(0, int(t_hi), 25).astype(int))
+        curves = {
+            "tv_curve.csv": tv_bound_curve(records, t_grid.astype(float)),
+            "w2_curve.csv": w2_bound_curve(records, traces, t_grid),
+        }
+        for name, c in curves.items():
+            _write_csv(
+                rundir.path(name),
+                ["metric", "t", "estimate", "ci_low", "ci_high", "n_replicates", "n_capped"],
+                [[c.metric, *row, c.n_replicates, c.n_capped]
+                 for row in zip(c.t, c.estimate, c.ci_low, c.ci_high)],
+            )
+
+
+def _write_threshold_sweep(cfg: ExperimentConfig, rundir: _RunDir, records_at) -> None:
+    """sweep.csv of meeting-time summaries; records_at(delta) runs one threshold."""
+    rows = []
+    for delta in cfg.delta_grid:
+        records = records_at(float(delta))
+        met = [r.tau for r in records if not r.capped]
+        rows.append([
+            float(delta),
+            len(records),
+            len(records) - len(met),
+            float(np.mean(met)) if met else math.inf,
+            float(np.median(met)) if met else math.inf,
+            float(np.max(met)) if met else math.inf,
+        ])
+    _write_csv(
+        rundir.path("sweep.csv"),
+        ["delta", "n_replicates", "n_capped", "tau_mean", "tau_median", "tau_max"],
+        rows,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +576,7 @@ def _run_ode_spherical(cfg: ExperimentConfig, rundir: _RunDir) -> None:
             for kind in kinds:
                 traj = integrate_w((x0, y0, v0), l, kind, cfg.t_end, dt=cfg.dt)
                 name = f"traj_s{s_idx}_l{_l_tag(l)}_{kind}.csv"
-                save_trajectory(rundir.path(name), traj)
+                _write_csv(rundir.path(name), traj._fields, zip(*traj))
                 summary.append(
                     [s_idx, x0, y0, rho0, l, kind, traj.s[-1]]
                 )
@@ -547,28 +594,20 @@ def _run_mcmc_vs_ode(cfg: ExperimentConfig, rundir: _RunDir) -> None:
     summary = []
     for s_idx, (x0, y0, rho0) in enumerate(cfg.starts):
         v0 = rho0 * math.sqrt(x0 * y0)
+
+        def start(rng):
+            return _start_pair(x0, y0, rho0, d, rng)
+
         for l in cfg.l_grid:
             h = l / math.sqrt(d)
             n_steps = int(round(cfg.t_end * d))
             for kind in cfg.couplings:
                 traj = integrate_w((x0, y0, v0), l, kind, cfg.t_end, dt=cfg.dt)
-                cspec = CouplingSpec(kind)
-
-                def one(r):
-                    rng = RngStream(cfg.seed, r)
-                    sx, sy = _start_pair(x0, y0, rho0, d, rng)
-                    state = CoupledChainState(x=sx, y=sy)
-                    out = np.empty(n_steps + 1)
-                    gap = state.x - state.y
-                    out[0] = float(np.dot(gap, gap)) / d
-                    for t in range(n_steps):
-                        state = coupled_rwm_step(state, cspec, h, target, rng)
-                        gap = state.x - state.y
-                        out[t + 1] = float(np.dot(gap, gap)) / d
-                    return out
-
-                reps = [one(r) for r in range(cfg.replicates)]
-                s_mcmc = np.mean(reps, axis=0)
+                traces = _gap_traces(
+                    _rwm_step(CouplingSpec(kind), h, target), start, n_steps,
+                    cfg.replicates, cfg.seed, cfg.threads,
+                )
+                s_mcmc = np.mean([tr / d for tr in traces], axis=0)
                 t_scaled = np.arange(n_steps + 1) / d
                 s_ode = np.interp(t_scaled, traj.t, traj.s)
                 sup_gap = float(np.abs(s_mcmc - s_ode).max())
@@ -586,23 +625,15 @@ def _run_mcmc_vs_ode(cfg: ExperimentConfig, rundir: _RunDir) -> None:
     )
 
 
-def _run_asymptote_spherical(cfg: ExperimentConfig, rundir: _RunDir) -> None:
-    l_grid = tuple(sorted(set(cfg.l_grid)))
+def _run_asymptotes(cfg: ExperimentConfig, rundir: _RunDir) -> None:
+    """Fixed-point sweeps: over sorted l on round targets, over l x eps otherwise."""
+    if cfg.experiment == "asymptote-spherical":
+        l_grid, eps_grid = tuple(sorted(set(cfg.l_grid))), (1.0,)
+    else:
+        l_grid, eps_grid = tuple(cfg.l_grid), tuple(cfg.eps_grid)
     rows = []
     for kind in cfg.couplings:
-        for row in sweep_asymptotes(kind, l_grid):
-            rows.append([row.l, row.epsilon, row.kind, row.v_star, row.s_inf, row.esjd])
-    _write_csv(
-        rundir.path("sweep.csv"),
-        ["l", "epsilon", "kind", "v_star", "s_inf", "esjd"],
-        rows,
-    )
-
-
-def _run_asymptote_elliptical(cfg: ExperimentConfig, rundir: _RunDir) -> None:
-    rows = []
-    for kind in cfg.couplings:
-        for row in sweep_asymptotes(kind, tuple(cfg.l_grid), tuple(cfg.eps_grid)):
+        for row in sweep_asymptotes(kind, l_grid, eps_grid):
             rows.append([row.l, row.epsilon, row.kind, row.v_star, row.s_inf, row.esjd])
     _write_csv(
         rundir.path("sweep.csv"),
@@ -631,14 +662,19 @@ def _run_mcmc_elliptical(cfg: ExperimentConfig, rundir: _RunDir) -> None:
         z1 = ss.z(1)
         zm1_sq = ss.z(-1) ** 2
         h = cfg.h if cfg.h is not None else cfg.l / (math.sqrt(d) * z1)
+
+        def start(rng):
+            return target.sample(rng), target.sample(rng)
+
         for kind in cfg.couplings:
             slow = tgt_spec.startswith("two-eig") and kind == "reflection"
             t_end = cfg.t_end if cfg.t_end is not None else (150.0 if slow else 30.0)
             n_steps = cfg.n_steps if cfg.n_steps is not None else int(round(t_end * d))
-            s_trace = _mean_s_trace(
-                target, kind, h, d, n_steps, cfg.replicates, cfg.seed,
-                z_minus1_sq=zm1_sq, threads=cfg.threads,
+            traces = _gap_traces(
+                _rwm_step(CouplingSpec(kind), h, target), start, n_steps,
+                cfg.replicates, cfg.seed, cfg.threads,
             )
+            s_trace = np.mean(traces, axis=0) / (d * zm1_sq)
             tail = s_trace[-max(1, n_steps // 4):]
             plateau = float(tail.mean())
             fp = solve_fixed_point(kind, cfg.l, max(1.0, eps))
@@ -658,18 +694,6 @@ def _run_mcmc_elliptical(cfg: ExperimentConfig, rundir: _RunDir) -> None:
     )
 
 
-def _svm_two_scale_records(cfg: ExperimentConfig, post, h: float):
-    cspec = CouplingSpec("two-scale", delta=cfg.delta)
-
-    def step(state, rng):
-        return coupled_rwm_step(state, cspec, h, post, rng)
-
-    return run_replicates(
-        step, post.prior_sample, lag=cfg.lag, n_replicates=cfg.replicates,
-        max_iter=cfg.max_iter, seed=cfg.seed, threads=cfg.threads,
-    )
-
-
 def _run_svm_convergence(cfg: ExperimentConfig, rundir: _RunDir) -> None:
     """Meeting times and TV/W2 bound curves on the volatility posterior.
 
@@ -677,17 +701,9 @@ def _run_svm_convergence(cfg: ExperimentConfig, rundir: _RunDir) -> None:
     branch are run on the same budget to report their capped fractions.
     """
     post, _, h = _svm_setup(cfg)
-    records, traces = _svm_two_scale_records(cfg, post, h)
-    _write_csv(
-        rundir.path("meetings.csv"),
-        ["replicate", "tau", "lag", "capped"],
-        [[r.replicate, float(r.tau), r.lag, int(r.capped)] for r in records],
-    )
-    if not all(r.capped for r in records):
-        t_hi = max(r.tau for r in records if not r.capped) - cfg.lag
-        t_grid = np.unique(np.linspace(0, int(t_hi), 25).astype(int))
-        save_bound_curve(rundir.path("tv_curve.csv"), tv_bound_curve(records, t_grid.astype(float)))
-        save_bound_curve(rundir.path("w2_curve.csv"), w2_bound_curve(records, traces, t_grid))
+    two_scale = _rwm_step(CouplingSpec("two-scale", delta=cfg.delta), h, post)
+    records, traces = _meeting_records(cfg, two_scale, post.prior_sample)
+    _write_meetings(cfg, rundir, records, traces)
 
     rows = []
     comparator_reps = max(2, cfg.replicates // 2)
@@ -696,15 +712,9 @@ def _run_svm_convergence(cfg: ExperimentConfig, rundir: _RunDir) -> None:
             n_capped = sum(r.capped for r in records)
             rows.append([kind, cfg.replicates, n_capped])
             continue
-        cspec = CouplingSpec(kind)
-
-        def step(state, rng):
-            return coupled_rwm_step(state, cspec, h, post, rng)
-
-        recs, _ = run_replicates(
-            step, post.prior_sample, lag=cfg.lag, n_replicates=comparator_reps,
-            max_iter=cfg.max_iter, seed=cfg.seed, store_trace=False,
-            threads=cfg.threads,
+        recs, _ = _meeting_records(
+            cfg, _rwm_step(CouplingSpec(kind), h, post), post.prior_sample,
+            n_replicates=comparator_reps, store_trace=False,
         )
         rows.append([kind, comparator_reps, sum(r.capped for r in recs)])
     _write_csv(rundir.path("capped.csv"), ["kind", "n_replicates", "n_capped"], rows)
@@ -715,19 +725,18 @@ def _run_svm_bias(cfg: ExperimentConfig, rundir: _RunDir) -> None:
     post, fit, h = _svm_setup(cfg)
     surrogate = fit.as_target()
     burn_in = cfg.n_steps // 5
+
+    def start(rng):
+        return post.prior_sample(rng), surrogate.sample(rng)
+
     rows = []
     for kind in cfg.couplings:
-        reps = []
-        for r in range(cfg.replicates):
-            rng = RngStream(cfg.seed, r)
-            state = CoupledChainState(x=post.prior_sample(rng), y=surrogate.sample(rng))
-            tr = np.empty(cfg.n_steps)
-            for t in range(cfg.n_steps):
-                state = cross_target_coupled_step(state, h, post, surrogate, kind, rng)
-                gap = state.x - state.y
-                tr[t] = float(np.dot(gap, gap))
-            reps.append(tr)
-        est, (lo, hi) = stationary_bias_bound(reps, burn_in)
+
+        def step(state, rng):
+            return cross_target_coupled_step(state, h, post, surrogate, kind, rng)
+
+        traces = _gap_traces(step, start, cfg.n_steps, cfg.replicates, cfg.seed, cfg.threads)
+        est, (lo, hi) = stationary_bias_bound([tr[1:] for tr in traces], burn_in)
         rows.append([kind, est, lo, hi])
     _write_csv(rundir.path("bias.csv"), ["kind", "estimate", "ci_low", "ci_high"], rows)
 
@@ -735,24 +744,12 @@ def _run_svm_bias(cfg: ExperimentConfig, rundir: _RunDir) -> None:
 def _run_svm_threshold_sweep(cfg: ExperimentConfig, rundir: _RunDir) -> None:
     """Two-scale switching threshold sensitivity for the volatility posterior."""
     post, _, h = _svm_setup(cfg)
-    rows = []
-    for delta in cfg.delta_grid:
-        sub = replace(cfg, delta=float(delta))
-        records, _ = _svm_two_scale_records(sub, post, h)
-        met = [r.tau for r in records if not r.capped]
-        rows.append([
-            float(delta),
-            len(records),
-            len(records) - len(met),
-            float(np.mean(met)) if met else math.inf,
-            float(np.median(met)) if met else math.inf,
-            float(np.max(met)) if met else math.inf,
-        ])
-    _write_csv(
-        rundir.path("sweep.csv"),
-        ["delta", "n_replicates", "n_capped", "tau_mean", "tau_median", "tau_max"],
-        rows,
-    )
+
+    def records_at(delta):
+        step = _rwm_step(CouplingSpec("two-scale", delta=delta), h, post)
+        return _meeting_records(cfg, step, post.prior_sample, store_trace=False)[0]
+
+    _write_threshold_sweep(cfg, rundir, records_at)
 
 
 def _hug_hop_runner(cfg: ExperimentConfig, delta_hop: float):
@@ -768,46 +765,15 @@ def _hug_hop_runner(cfg: ExperimentConfig, delta_hop: float):
 
 def _run_hug_hop_convergence(cfg: ExperimentConfig, rundir: _RunDir) -> None:
     """Meeting times for the coupled Hug and Hop kernel pair."""
-    step, init = _hug_hop_runner(cfg, cfg.delta)
-    records, traces = run_replicates(
-        step, init, lag=cfg.lag, n_replicates=cfg.replicates,
-        max_iter=cfg.max_iter, seed=cfg.seed, threads=cfg.threads,
-    )
-    _write_csv(
-        rundir.path("meetings.csv"),
-        ["replicate", "tau", "lag", "capped"],
-        [[r.replicate, float(r.tau), r.lag, int(r.capped)] for r in records],
-    )
-    if not all(r.capped for r in records):
-        t_hi = max(r.tau for r in records if not r.capped) - cfg.lag
-        t_grid = np.unique(np.linspace(0, int(t_hi), 25).astype(int))
-        save_bound_curve(rundir.path("tv_curve.csv"), tv_bound_curve(records, t_grid.astype(float)))
-        save_bound_curve(rundir.path("w2_curve.csv"), w2_bound_curve(records, traces, t_grid))
+    records, traces = _meeting_records(cfg, *_hug_hop_runner(cfg, cfg.delta))
+    _write_meetings(cfg, rundir, records, traces)
 
 
 def _run_hop_threshold_sweep(cfg: ExperimentConfig, rundir: _RunDir) -> None:
-    rows = []
-    for delta in cfg.delta_grid:
-        step, init = _hug_hop_runner(cfg, float(delta))
-        records, _ = run_replicates(
-            step, init, lag=cfg.lag, n_replicates=cfg.replicates,
-            max_iter=cfg.max_iter, seed=cfg.seed, store_trace=False,
-            threads=cfg.threads,
-        )
-        met = [r.tau for r in records if not r.capped]
-        rows.append([
-            float(delta),
-            len(records),
-            len(records) - len(met),
-            float(np.mean(met)) if met else math.inf,
-            float(np.median(met)) if met else math.inf,
-            float(np.max(met)) if met else math.inf,
-        ])
-    _write_csv(
-        rundir.path("sweep.csv"),
-        ["delta", "n_replicates", "n_capped", "tau_mean", "tau_median", "tau_max"],
-        rows,
-    )
+    def records_at(delta):
+        return _meeting_records(cfg, *_hug_hop_runner(cfg, delta), store_trace=False)[0]
+
+    _write_threshold_sweep(cfg, rundir, records_at)
 
 
 # ---------------------------------------------------------------------------
@@ -921,7 +887,7 @@ def _validate_checks():
             np.zeros(2), np.diag([1.0, 4.0]), np.zeros(2), np.diag([9.0, 1.0])
         )
         a = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 0.5]])
-        w, v = _jacobi_eigh(a)
+        w, v = _psd_eigh(a, "a")
         ok = float(np.abs(v @ np.diag(w) @ v.T - a).max()) < 1e-11
         return abs(val - 5.0) < 1e-12 and ok
 
@@ -996,8 +962,8 @@ def _run_validate(cfg: ExperimentConfig, rundir: _RunDir) -> int:
 _RUNNERS = {
     "ode-spherical": _run_ode_spherical,
     "mcmc-vs-ode": _run_mcmc_vs_ode,
-    "asymptote-spherical": _run_asymptote_spherical,
-    "asymptote-elliptical": _run_asymptote_elliptical,
+    "asymptote-spherical": _run_asymptotes,
+    "asymptote-elliptical": _run_asymptotes,
     "mcmc-elliptical": _run_mcmc_elliptical,
     "svm-convergence": _run_svm_convergence,
     "svm-bias": _run_svm_bias,

@@ -13,7 +13,6 @@ scale) step parameter; for an elliptical target pass l_1 = l z_1.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -28,7 +27,6 @@ __all__ = [
     "h_rho",
     "solve_fixed_point",
     "sweep_asymptotes",
-    "save_sweep",
 ]
 
 FIXED_POINT_KINDS = ("crn", "reflection", "gcrn")
@@ -173,19 +171,3 @@ def sweep_asymptotes(
             esjd = 2.0 * l * l * float(ndtr(-0.5 * l))
             rows.append(SweepRow(l, eps, kind, res.v_star, res.s_inf, esjd))
     return rows
-
-
-def save_sweep(path, rows: Sequence[SweepRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["l", "epsilon", "kind", "v_star", "s_inf"])
-        for row in rows:
-            writer.writerow(
-                [
-                    repr(float(row.l)),
-                    repr(float(row.epsilon)),
-                    row.kind,
-                    repr(float(row.v_star)),
-                    repr(float(row.s_inf)),
-                ]
-            )

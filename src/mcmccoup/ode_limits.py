@@ -16,7 +16,6 @@ log space so the exponential tilts cannot overflow.
 
 from __future__ import annotations
 
-import csv
 import math
 from typing import NamedTuple
 
@@ -35,10 +34,8 @@ __all__ = [
     "g_value",
     "drift_c",
     "integrate_w",
-    "save_trajectory",
     "elliptical_infinitesimal",
     "two_eigenvalue_ode",
-    "save_two_eig_trajectory",
 ]
 
 DRIFT_KINDS = ("crn", "reflection", "gcrn", "optimal")
@@ -215,6 +212,23 @@ def _clip_state(w: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return np.array([x, y, v])
 
 
+def _rk4(rhs, state: np.ndarray, dt: float, n_steps: int, project) -> np.ndarray:
+    """Fixed-step classical Runge-Kutta path of shape (n_steps + 1, dim).
+
+    project maps each new state back onto the admissible set.
+    """
+    out = np.empty((n_steps + 1, state.size))
+    out[0] = state
+    for i in range(n_steps):
+        k1 = rhs(state)
+        k2 = rhs(state + 0.5 * dt * k1)
+        k3 = rhs(state + 0.5 * dt * k2)
+        k4 = rhs(state + dt * k3)
+        state = project(state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        out[i + 1] = state
+    return out
+
+
 def integrate_w(
     w0,
     l: float,
@@ -254,17 +268,8 @@ def integrate_w(
         state = np.array([w0.x, w0.y, w0.s])
 
     n_steps = int(round(t_end / dt))
-    out = np.empty((n_steps + 1, 3))
-    out[0] = state
-    for i in range(n_steps):
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * dt * k1)
-        k3 = rhs(state + 0.5 * dt * k2)
-        k4 = rhs(state + dt * k3)
-        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if form == "w":
-            state = _clip_state(state)
-        out[i + 1] = state
+    project = _clip_state if form == "w" else (lambda w: w)
+    out = _rk4(rhs, state, dt, n_steps, project)
 
     t = dt * np.arange(n_steps + 1)
     if form == "w":
@@ -285,14 +290,6 @@ def integrate_w(
         if gap > 1e-8:
             raise RuntimeError(f"dt-halving moved the endpoint by {gap:.3e}")
     return traj
-
-
-def save_trajectory(path, traj: OdeTrajectory) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "y", "v", "s"])
-        for row in zip(traj.t, traj.x, traj.y, traj.v, traj.s):
-            writer.writerow([repr(float(c)) for c in row])
 
 
 def elliptical_infinitesimal(k: int, quantities, l1: float):
@@ -422,20 +419,11 @@ def two_eigenvalue_ode(
         dva, dvb = amap_inv @ rv
         return np.array([dxa, dya, dva, dxb, dyb, dvb])
 
+    def project(w):
+        return np.concatenate([_clip_state(w[:3]), _clip_state(w[3:])])
+
     n_steps = int(round(t_end / dt))
-    out = np.empty((n_steps + 1, 6))
-    state = w0.copy()
-    out[0] = state
-    for i in range(n_steps):
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * dt * k1)
-        k3 = rhs(state + 0.5 * dt * k2)
-        k4 = rhs(state + dt * k3)
-        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        for base in (0, 3):
-            clipped = _clip_state(state[base : base + 3])
-            state[base : base + 3] = clipped
-        out[i + 1] = state
+    out = _rk4(rhs, w0.copy(), dt, n_steps, project)
 
     t = dt * np.arange(n_steps + 1)
     w0_weights = weights[0]
@@ -450,13 +438,3 @@ def two_eigenvalue_ode(
         x_b=out[:, 3], y_b=out[:, 4], v_b=out[:, 5],
         s=s,
     )
-
-
-def save_two_eig_trajectory(path, traj: TwoEigTrajectory) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x_a", "y_a", "v_a", "x_b", "y_b", "v_b", "s"])
-        for row in zip(
-            traj.t, traj.x_a, traj.y_a, traj.v_a, traj.x_b, traj.y_b, traj.v_b, traj.s
-        ):
-            writer.writerow([repr(float(c)) for c in row])

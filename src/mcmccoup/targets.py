@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, eigh
+from scipy.linalg import cho_factor, cholesky, eigh, get_lapack_funcs
 
 from .core_math import RngStream
 
@@ -191,16 +191,20 @@ class DenseGaussian(TargetModel):
             self._cho = cho_factor(self.cov, lower=True)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises its own
             raise ValueError("covariance must be positive definite") from exc
+        (self._potrs,) = get_lapack_funcs(("potrs",), (self._cho[0],))
+
+    def _solve(self, r):  # cho_solve's LAPACK call, minus its finiteness scan of the factor
+        return self._potrs(self._cho[0], r, lower=True)[0]
 
     def log_density(self, x):
         r = x - self.mean
-        return -0.5 * float(np.dot(r, cho_solve(self._cho, r)))
+        return -0.5 * float(np.dot(r, self._solve(r)))
 
     def grad(self, x):
-        return -cho_solve(self._cho, x - self.mean)
+        return -self._solve(x - self.mean)
 
     def log_density_and_grad(self, x):
-        g = -cho_solve(self._cho, x - self.mean)
+        g = -self._solve(x - self.mean)
         return 0.5 * float(np.dot(g, x - self.mean)), g
 
     def sample(self, rng):
@@ -267,12 +271,11 @@ class SvmPosterior(TargetModel):
         self._edge = (1.0 - phi * phi) * self._s2inv
 
     def log_density(self, x):
-        phi = self.params.phi
-        ar = phi * x[:-1] - x[1:]
+        ar = self.params.phi * x[:-1] - x[1:]
         return -0.5 * (
-            float(np.sum(x))
-            + float(np.dot(self._y2b, np.exp(-x)))
-            + self._s2inv * float(np.dot(ar, ar))
+            float(x.sum())
+            + float(self._y2b.dot(np.exp(-x)))
+            + self._s2inv * float(ar.dot(ar))
             + self._edge * x[0] * x[0]
         )
 

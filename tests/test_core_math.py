@@ -18,7 +18,6 @@ from mcmccoup.core_math import (
     bvn_up,
     exp_times_cdf,
     gaussian_integrals,
-    sample_gaussians,
     std_normal_cdf,
     std_normal_quantile,
 )
@@ -232,18 +231,16 @@ def test_rng_stream_validation():
         RngStream(0, 2**64)
 
 
-def test_sample_gaussians_clt():
-    rng = RngStream(7, 0)
-    n = 1_000_000
-    z = sample_gaussians(n, rng)
-    assert z.shape == (n,)
-    assert abs(z.mean()) < 4.0 / math.sqrt(n)
-    assert abs(z.var() - 1.0) < 4.0 * math.sqrt(2.0 / n)
-    with pytest.raises(ValueError):
-        sample_gaussians(-1, rng)
-
-
 def test_uniform_stream_range():
     u = RngStream(11, 3).uniform(10_000)
     assert np.all((u >= 0.0) & (u < 1.0))
     assert abs(u.mean() - 0.5) < 4.0 * math.sqrt(1.0 / 12.0 / 10_000)
+
+
+def test_uniform_draws_the_bits_of_generator_uniform():
+    # RngStream.uniform skips numpy's 0 + 1 * u map; the draws must not move
+    a, b = RngStream(11, 3), RngStream(11, 3)
+    got = [a.uniform() for _ in range(1000)] + list(a.uniform(500)) + [a.uniform()]
+    want = [b.generator.uniform() for _ in range(1000)] + list(b.generator.uniform(size=500))
+    want.append(b.generator.uniform())
+    assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))

@@ -29,7 +29,6 @@ from mcmccoup.couplings import (
     grad_projection_correlation,
     maximal_independent_pair,
     reflection_maximal_pair,
-    two_scale_rwm_step,
 )
 from mcmccoup.kernels import HopParams, HugParams
 from mcmccoup.targets import DiagonalGaussian, SphericalGaussian
@@ -291,17 +290,17 @@ def test_coupled_chain_marginal_moments(kind):
 def test_two_scale_branch_predicate_and_meeting():
     target = SphericalGaussian(dim=2)
     h = 2.38 / math.sqrt(2)
-    delta = 0.5
+    spec = CouplingSpec("two-scale", delta=0.5)
     rng = RngStream(seed=404)
     state = CoupledChainState(x=np.array([3.0, 3.0]), y=np.array([-3.0, -3.0]))
     met_at = None
     for _ in range(20_000):
         sq_before = float(np.dot(state.x - state.y, state.x - state.y))
         was_met = state.met
-        state = two_scale_rwm_step(state, delta, h, target, rng)
+        state = coupled_rwm_step(state, spec, h, target, rng)
         if was_met:
             assert state.branch == "common"
-        elif sq_before >= delta:
+        elif sq_before >= spec.delta:
             assert state.branch == "gcrn"
         else:
             assert state.branch == "reflection-maximal"
@@ -313,14 +312,15 @@ def test_two_scale_branch_predicate_and_meeting():
 def test_meeting_is_sticky_and_bitwise():
     target = SphericalGaussian(dim=2)
     rng = RngStream(seed=505)
+    spec = CouplingSpec("two-scale", delta=0.5)
     state = CoupledChainState(x=np.array([1.0, -1.0]), y=np.array([-0.5, 0.5]))
     for _ in range(20_000):
-        state = two_scale_rwm_step(state, 0.5, 1.5, target, rng)
+        state = coupled_rwm_step(state, spec, 1.5, target, rng)
         if state.met:
             break
     assert state.met
     for _ in range(500):
-        state = two_scale_rwm_step(state, 0.5, 1.5, target, rng)
+        state = coupled_rwm_step(state, spec, 1.5, target, rng)
         assert state.met
         assert state.x is state.y
 
@@ -375,6 +375,24 @@ def test_cross_target_marginals_and_no_meeting():
     assert abs(sq_y[burn:].mean() - 2.0) < 4 * se_y + 0.02
     with pytest.raises(ValueError):
         cross_target_coupled_step(state, 1.0, target_x, target_y, "two-scale", rng)
+
+
+@pytest.mark.parametrize(
+    "kind", ["crn", "reflection", "gcrn", "gcrn-rotation", "gcrn-reflect"]
+)
+def test_cross_target_step_on_one_target_equals_coupled_step(kind):
+    target = DiagonalGaussian(np.array([1.0, 0.5, 2.0, 0.8]))
+    start = CoupledChainState(
+        x=np.array([1.0, -0.5, 0.3, 2.0]), y=np.array([-1.2, 0.4, 0.9, -0.1])
+    )
+    a = b = start
+    rng_a, rng_b = RngStream(seed=606, stream_id=1), RngStream(seed=606, stream_id=1)
+    for _ in range(300):
+        a = cross_target_coupled_step(a, 0.9, target, target, kind, rng_a)
+        b = coupled_rwm_step(b, CouplingSpec(kind), 0.9, target, rng_b)
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+        assert a.t == b.t
+    assert not np.array_equal(a.x, start.x) and not np.array_equal(a.y, start.y)
 
 
 def test_coupled_hug_contracts_at_predicted_rate():

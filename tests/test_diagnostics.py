@@ -14,10 +14,8 @@ from mcmccoup.couplings import (
 from mcmccoup.diagnostics import (
     BoundCurve,
     MeetingRecord,
-    _jacobi_eigh,
     gelbrich_bound,
     run_replicates,
-    save_bound_curve,
     stationary_bias_bound,
     summary_stats,
     tv_bound_curve,
@@ -338,18 +336,6 @@ def test_bias_bound_dominates_gelbrich():
         assert est >= gelbrich_bound(mu1, s1, mu2, s2)
 
 
-def test_jacobi_eigh_matches_dense_solver():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        n = int(rng.integers(2, 7))
-        a = rng.standard_normal((n, n))
-        spd = a @ a.T + 0.05 * np.eye(n)
-        w, v = _jacobi_eigh(spd)
-        assert np.abs(v @ np.diag(w) @ v.T - spd).max() < 1e-11
-        assert np.abs(v.T @ v - np.eye(n)).max() < 1e-12
-        assert np.abs(np.sort(w) - np.linalg.eigvalsh(spd)).max() < 1e-10
-
-
 def test_gelbrich_values_and_symmetry():
     # commuting covariances: bound reduces to trace of squared root gap
     val = gelbrich_bound(np.zeros(2), np.diag([1.0, 4.0]), np.zeros(2), np.diag([9.0, 1.0]))
@@ -379,6 +365,21 @@ def test_gelbrich_matches_general_oracle():
             - 2.0 * np.trace(inner)
         )
         assert gelbrich_bound(mu1, s1, mu2, s2) == pytest.approx(oracle, abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [30, 50, 360])
+def test_gelbrich_matches_sqrtm_oracle_at_paper_sizes(n):
+    # the n = 30 pair once exhausted a rotation eigensolver's sweeps
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((n, n))
+    b = rng.standard_normal((n, n))
+    s1 = a @ a.T + np.eye(n)
+    s2 = b @ b.T + np.eye(n)
+    mu1, mu2 = np.zeros(n), np.ones(n)
+    r1 = scipy.linalg.sqrtm(s1).real
+    inner = scipy.linalg.sqrtm(r1 @ s2 @ r1).real
+    oracle = float(n + np.trace(s1) + np.trace(s2) - 2.0 * np.trace(inner))
+    assert gelbrich_bound(mu1, s1, mu2, s2) == pytest.approx(oracle, rel=1e-8)
 
 
 def test_gelbrich_rejects_bad_input():
@@ -477,24 +478,28 @@ def test_bound_curve_validation():
 
 
 def test_bound_curve_csv_schema(tmp_path):
-    curve = BoundCurve(
-        metric="tv",
-        t=np.array([0.0, 10.0]),
-        estimate=np.array([3.0, 0.5]),
-        ci_low=np.array([2.0, 0.25]),
-        ci_high=np.array([4.0, 0.75]),
-        n_replicates=8,
-        n_capped=2,
-    )
-    path = tmp_path / "curve.csv"
-    save_bound_curve(path, curve)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "metric,t,estimate,ci_low,ci_high,n_replicates,n_capped"
+    from mcmccoup.experiments import make_config, run_experiment
+
+    cfg = make_config({
+        "experiment": "hug-hop-convergence", "seed": 12, "out": str(tmp_path),
+        "d": 10, "lag": 50, "replicates": 3, "max_iter": 10_000,
+    })
+    assert run_experiment(cfg) == 0
+    rundir = tmp_path / "hug-hop-convergence"
+    header = "metric,t,estimate,ci_low,ci_high,n_replicates,n_capped"
+    for name in ("tv_curve.csv", "w2_curve.csv"):
+        assert (rundir / name).read_text().splitlines()[0] == header
+    meetings = np.loadtxt(rundir / "meetings.csv", delimiter=",", skiprows=1)
+    records = [
+        MeetingRecord(replicate=int(r), tau=tau, lag=int(lag), capped=bool(c))
+        for r, tau, lag, c in meetings
+    ]
+    lines = (rundir / "tv_curve.csv").read_text().strip().splitlines()
     first = lines[1].split(",")
     assert first[0] == "tv"
-    assert float(first[1]) == 0.0
-    assert float(first[2]) == 3.0
-    assert int(first[5]) == 8 and int(first[6]) == 2
-    data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2, 3, 4))
-    assert np.array_equal(data[:, 0], curve.t)
+    assert int(first[5]) == 3 and int(first[6]) == 0
+    data = np.loadtxt(rundir / "tv_curve.csv", delimiter=",", skiprows=1, usecols=(1, 2, 3, 4))
+    curve = tv_bound_curve(records, data[:, 0])
     assert np.array_equal(data[:, 1], curve.estimate)
+    assert np.array_equal(data[:, 2], curve.ci_low)
+    assert np.array_equal(data[:, 3], curve.ci_high)

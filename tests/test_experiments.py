@@ -286,7 +286,8 @@ def test_start_pair_matches_requested_moments():
 
 
 def test_experiment_registry_is_complete():
-    cfg_able = [e for e in EXPERIMENTS if e != "validate"]
     from mcmccoup.experiments import _RUNNERS
 
-    assert sorted(_RUNNERS) == sorted(cfg_able)
+    # shared runners serve several keys; none of the experiments may drop out
+    assert set(_RUNNERS) | {"validate"} == set(EXPERIMENTS)
+    assert "validate" not in _RUNNERS

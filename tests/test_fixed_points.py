@@ -8,7 +8,6 @@ from mcmccoup.core_math import bvn_low
 from mcmccoup.fixed_points import (
     FixedPointResult,
     h_rho,
-    save_sweep,
     solve_fixed_point,
     sweep_asymptotes,
 )
@@ -171,13 +170,19 @@ def test_sweep_shapes_and_monotonicity():
 
 
 def test_sweep_csv(tmp_path):
+    from mcmccoup.experiments import make_config, run_experiment
+
+    cfg = make_config({
+        "experiment": "asymptote-elliptical", "seed": 1, "out": str(tmp_path),
+        "couplings": "reflection", "l_grid": "1.0,2.38", "eps_grid": "2.0",
+    })
+    assert run_experiment(cfg) == 0
     rows = sweep_asymptotes("reflection", [1.0, 2.38], [2.0])
-    path = tmp_path / "sweep.csv"
-    save_sweep(path, rows)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "l,epsilon,kind,v_star,s_inf"
+    lines = (tmp_path / "asymptote-elliptical" / "sweep.csv").read_text().strip().split("\n")
+    assert lines[0] == "l,epsilon,kind,v_star,s_inf,esjd"
     assert len(lines) == 3
     cells = lines[2].split(",")
     assert cells[2] == "reflection"
     assert float(cells[3]) == rows[1].v_star
     assert float(cells[4]) == rows[1].s_inf
+    assert float(cells[5]) == rows[1].esjd

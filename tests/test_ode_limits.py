@@ -15,8 +15,6 @@ from mcmccoup.ode_limits import (
     g_value,
     integrate_w,
     rho_limit,
-    save_trajectory,
-    save_two_eig_trajectory,
     two_eigenvalue_ode,
 )
 from mcmccoup.targets import DiagonalGaussian
@@ -421,20 +419,19 @@ def test_two_eigenvalue_matches_coupled_chain():
 
 
 def test_trajectory_csv_round_trips(tmp_path):
+    from mcmccoup.experiments import make_config, run_experiment
+
+    cfg = make_config({
+        "experiment": "ode-spherical", "seed": 3, "out": str(tmp_path),
+        "t_end": 0.05, "l_grid": [L_OPT], "couplings": "gcrn",
+        "starts": "1,1,0",
+    })
+    assert run_experiment(cfg) == 0
     traj = integrate_w(OdeState(1.0, 1.0, 0.0), L_OPT, "gcrn", 0.05)
-    path = tmp_path / "traj.csv"
-    save_trajectory(path, traj)
+    path = tmp_path / "ode-spherical" / "traj_s0_l2p38_gcrn.csv"
     rows = path.read_text().strip().split("\n")
     assert rows[0] == "t,x,y,v,s"
     assert len(rows) == len(traj.t) + 1
     back = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.array_equal(back[:, 1], traj.x)
-    assert np.array_equal(back[:, 4], traj.s)
-
-    t6 = two_eigenvalue_ode(4.0, (1, 1, 0, 1, 1, 0), L_OPT, "gcrn", 0.05)
-    path6 = tmp_path / "traj6.csv"
-    save_two_eig_trajectory(path6, t6)
-    rows6 = path6.read_text().strip().split("\n")
-    assert rows6[0] == "t,x_a,y_a,v_a,x_b,y_b,v_b,s"
-    back6 = np.loadtxt(path6, delimiter=",", skiprows=1)
-    assert np.array_equal(back6[:, 7], t6.s)
+    for j, column in enumerate(traj):
+        assert np.array_equal(back[:, j], column)

@@ -148,6 +148,22 @@ def test_dense_gaussian_log_density_differences_match_scipy():
     assert got == pytest.approx(want, rel=1e-10)
 
 
+def test_dense_gaussian_solve_is_bitwise_cho_solve():
+    from scipy.linalg import cho_factor, cho_solve
+
+    d = 50
+    rng = RngStream(9, 1)
+    a = rng.standard_normal((d, d))
+    cov = a @ a.T / d + np.eye(d)
+    model = DenseGaussian(rng.standard_normal(d), cov)
+    cho = cho_factor(model.cov, lower=True)
+    for _ in range(20):
+        x = rng.standard_normal(d)
+        r = x - model.mean
+        assert model.log_density(x) == -0.5 * float(np.dot(r, cho_solve(cho, r)))
+        assert np.array_equal(model.grad(x), -cho_solve(cho, r))
+
+
 def test_svm_simulate_moments_and_shapes():
     params = DEFAULT_SVM_PARAMS
     rng = RngStream(21, 0)
