@@ -21,6 +21,7 @@ L = 2.38
 T_END = 4.0
 X0, Y0, RHO0 = 1.5, 0.5, 0.0
 REPS = 4
+KINDS = ("crn", "reflection", "gcrn")
 
 target = SphericalGaussian(D)
 h = L / math.sqrt(D)
@@ -29,17 +30,17 @@ checkpoints = (0.0, 0.5, 1.0, 2.0, 4.0)
 
 print(f"start (x, y, rho) = ({X0}, {Y0}, {RHO0}), d = {D}, l = {L}, {REPS} replicates")
 print(f"\n{'t/d':>5s}", end="")
-for kind in ("crn", "reflection", "gcrn"):
+for kind in KINDS:
     print(f"   {kind + ' ode':>12s} {'chains':>8s}", end="")
 print()
 
 curves = {}
-for kind in ("crn", "reflection", "gcrn"):
+for i, kind in enumerate(KINDS):
     ode = integrate_w((X0, Y0, RHO0 * math.sqrt(X0 * Y0)), L, kind, T_END, dt=1.0 / D)
     spec = CouplingSpec(kind)
     acc = np.zeros(n_steps + 1)
     for r in range(REPS):
-        rng = RngStream(SEED, 10 * hash(kind) % 1000 + r)
+        rng = RngStream(SEED, 10 * i + r)
         z, zp = rng.standard_normal(D), rng.standard_normal(D)
         x = math.sqrt(X0) * z
         y = math.sqrt(Y0) * (RHO0 * z + math.sqrt(1 - RHO0**2) * zp)
@@ -54,7 +55,7 @@ for kind in ("crn", "reflection", "gcrn"):
 for tc in checkpoints:
     j = int(tc * D)
     print(f"{tc:5.1f}", end="")
-    for kind in ("crn", "reflection", "gcrn"):
+    for kind in KINDS:
         ode_s, mc_s = curves[kind]
         print(f"   {ode_s[j]:12.4f} {mc_s[j]:8.4f}", end="")
     print()

@@ -34,8 +34,10 @@ from .kernels import (
     HopParams,
     HugParams,
     accept_log_ratio,
+    hop_accept,
     hop_proposal_law,
     hug_proposal,
+    metropolis,
 )
 from .targets import TargetModel
 
@@ -92,6 +94,10 @@ class CoupledChainState:
 
     Once met is True both fields reference one array and stay bit-identical.
     branch records which sub-coupling the last two-scale step used.
+    lp_x and lp_y are the log densities of x and y, each under its own
+    chain's target.  A step fills a missing (None) one once, raising
+    ValueError if it is not finite, and passes both on to the next state,
+    so no step re-evaluates the density of the current positions.
     """
 
     x: np.ndarray
@@ -99,6 +105,34 @@ class CoupledChainState:
     t: int = 0
     met: bool = False
     branch: Optional[str] = field(default=None, compare=False)
+    lp_x: Optional[float] = field(default=None, compare=False)
+    lp_y: Optional[float] = field(default=None, compare=False)
+
+
+def _start_density(lp, pos: np.ndarray, target: TargetModel, chain: str) -> float:
+    """The cached log density of one chain, evaluated when missing."""
+    if lp is None:
+        lp = target.log_density(pos)
+        if not math.isfinite(lp):
+            raise ValueError(
+                f"chain {chain} sits where its log density is {lp}; start it inside the support"
+            )
+    return lp
+
+
+def _start_densities(state: CoupledChainState, target: TargetModel):
+    """(lp_x, lp_y) of a one-target pair; a met pair shares x's."""
+    lp_x = _start_density(state.lp_x, state.x, target, "x")
+    lp_y = lp_x if state.met else _start_density(state.lp_y, state.y, target, "y")
+    return lp_x, lp_y
+
+
+def _next_state(state, x, lp_x, y, lp_y, branch, meets=True) -> CoupledChainState:
+    """The state after one step; a pair met before or now (bitwise) moves as one."""
+    met = meets and (state.met or x is y or bool((x == y).all()))
+    if met:
+        y, lp_y = x, lp_x
+    return CoupledChainState(x=x, y=y, t=state.t + 1, met=met, branch=branch, lp_x=lp_x, lp_y=lp_y)
 
 
 def _unit(v: np.ndarray):
@@ -251,16 +285,6 @@ def maximal_independent_pair(law_x, law_y, rng: RngStream, max_tries: int = 100_
     raise RuntimeError(f"maximal coupling rejection loop exceeded {max_tries} tries")
 
 
-def _common_rwm_advance(state: CoupledChainState, h: float, target: TargetModel, rng: RngStream):
-    # after meeting both chains move with one shared draw, staying identical
-    z = rng.standard_normal(state.x.size)
-    u = float(rng.uniform())
-    prop = state.x + h * z
-    log_ratio = target.log_density(prop) - target.log_density(state.x)
-    x_new = prop if accept_log_ratio(log_ratio, u) else state.x
-    return CoupledChainState(x=x_new, y=x_new, t=state.t + 1, met=True, branch="common")
-
-
 def _increment_proposals(kind, x, y, h, target_x, target_y, rng: RngStream):
     """Proposals x + h z_x, y + h z_y from one shared draw (z, and z1 for gcrn).
 
@@ -299,18 +323,22 @@ def coupled_rwm_step(
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
-    if state.met:
-        return _common_rwm_advance(state, h, target, rng)
-
+    lp_x, lp_y = _start_densities(state, target)
     x, y = state.x, state.y
     kind = cspec.kind
     branch = kind
-    if kind == "two-scale":
+    if state.met:
+        branch = kind = "common"
+    elif kind == "two-scale":
         sq = float(np.dot(x - y, x - y))
         branch = "gcrn" if sq >= cspec.delta else "reflection-maximal"
         kind = branch
 
-    if kind in _INCREMENT_KINDS:
+    if kind == "common":
+        # both chains move with one shared draw, staying identical
+        prop_x = prop_y = x + h * rng.standard_normal(x.size)
+        coalesced = True
+    elif kind in _INCREMENT_KINDS:
         prop_x, prop_y, _ = _increment_proposals(kind, x, y, h, target, target, rng)
         coalesced = False
     elif kind == "reflection-maximal":
@@ -323,16 +351,7 @@ def coupled_rwm_step(
         raise ValueError(f"unhandled coupling kind {kind!r}")
 
     u = float(rng.uniform())
-    log_prop_x = target.log_density(prop_x)
-    log_prop_y = log_prop_x if coalesced else target.log_density(prop_y)
-    acc_x = accept_log_ratio(log_prop_x - target.log_density(x), u)
-    acc_y = accept_log_ratio(log_prop_y - target.log_density(y), u)
-    x_new = prop_x if acc_x else x
-    y_new = prop_y if acc_y else y
-    met = (x_new is y_new) or bool((x_new == y_new).all())
-    if met and x_new is not y_new:
-        y_new = x_new
-    return CoupledChainState(x=x_new, y=y_new, t=state.t + 1, met=met, branch=branch)
+    return _accept_pair(state, lp_x, lp_y, prop_x, prop_y, u, target, target, branch, coalesced)
 
 
 def cross_target_coupled_step(
@@ -352,42 +371,41 @@ def cross_target_coupled_step(
     if kind not in _INCREMENT_KINDS:
         raise ValueError(f"cross-target coupling does not support kind {kind!r}")
     x, y = state.x, state.y
+    lp_x = _start_density(state.lp_x, x, target_x, "x")
+    lp_y = _start_density(state.lp_y, y, target_y, "y")
     prop_x, prop_y, kind = _increment_proposals(kind, x, y, h, target_x, target_y, rng)
     u = float(rng.uniform())
-    acc_x = accept_log_ratio(target_x.log_density(prop_x) - target_x.log_density(x), u)
-    acc_y = accept_log_ratio(target_y.log_density(prop_y) - target_y.log_density(y), u)
-    return CoupledChainState(
-        x=prop_x if acc_x else x,
-        y=prop_y if acc_y else y,
-        t=state.t + 1,
-        met=False,
-        branch=kind,
-    )
+    return _accept_pair(state, lp_x, lp_y, prop_x, prop_y, u, target_x, target_y, kind, meets=False)
 
 
-def _hug_phase(x, y, hug, target, rng, met: bool):
-    """Shared-velocity, shared-uniform Hug moves for both chains."""
-    v = rng.standard_normal(x.size)
+def _accept_pair(
+    state, lp_x, lp_y, prop_x, prop_y, u, target_x, target_y, branch, coalesced=False, meets=True
+) -> CoupledChainState:
+    """Both chains' Metropolis tests with one shared uniform.
+
+    Coalesced proposals are one array, so its density is evaluated once.
+    """
+    lp_prop_x = target_x.log_density(prop_x)
+    lp_prop_y = lp_prop_x if coalesced else target_y.log_density(prop_y)
+    x, lp_x = metropolis(state.x, lp_x, prop_x, lp_prop_x, u)
+    y, lp_y = metropolis(state.y, lp_y, prop_y, lp_prop_y, u)
+    return _next_state(state, x, lp_x, y, lp_y, branch, meets)
+
+
+def _hug_move(x, lp_x, v, u, hug, target):
+    out = hug_proposal(x, v, hug, target)
+    if out is None:
+        return x, lp_x  # zero gradient: this chain rejects its hug move
+    return metropolis(x, lp_x, out[0], target.log_density(out[0]), u)
+
+
+def _hug_phase(state, lp_x, lp_y, hug, target, rng):
+    """Shared-velocity, shared-uniform Hug moves; returns (x, lp_x, y, lp_y)."""
+    v = rng.standard_normal(state.x.size)
     u_hug = float(rng.uniform())
-    if met:
-        out = hug_proposal(x, v, hug, target)
-        if out is not None:
-            xp, _ = out
-            if accept_log_ratio(target.log_density(xp) - target.log_density(x), u_hug):
-                return xp, xp
-        return x, y
-    x_cur, y_cur = x, y
-    for which, pos in (("x", x), ("y", y)):
-        out = hug_proposal(pos, v, hug, target)
-        if out is None:
-            continue  # zero gradient: that chain rejects its hug move
-        xp, _ = out
-        if accept_log_ratio(target.log_density(xp) - target.log_density(pos), u_hug):
-            if which == "x":
-                x_cur = xp
-            else:
-                y_cur = xp
-    return x_cur, y_cur
+    x, lp_x = _hug_move(state.x, lp_x, v, u_hug, hug, target)
+    y, lp_y = (x, lp_x) if state.met else _hug_move(state.y, lp_y, v, u_hug, hug, target)
+    return x, lp_x, y, lp_y
 
 
 def coupled_hug_step(
@@ -397,32 +415,9 @@ def coupled_hug_step(
     rng: RngStream,
 ) -> CoupledChainState:
     """One coupled Hug move: both chains share the velocity and uniform."""
-    x_new, y_new = _hug_phase(state.x, state.y, hug, target, rng, state.met)
-    met = state.met or (x_new is y_new) or bool((x_new == y_new).all())
-    if met and x_new is not y_new:
-        y_new = x_new
+    x_new, lp_x, y_new, lp_y = _hug_phase(state, *_start_densities(state, target), hug, target, rng)
     branch = "common" if state.met else "hug"
-    return CoupledChainState(x=x_new, y=y_new, t=state.t + 1, met=met, branch=branch)
-
-
-def _common_hop_advance(x, hop, target, rng):
-    z = rng.standard_normal(x.size)
-    z1 = float(rng.standard_normal())
-    u_hop = float(rng.uniform())
-    law = hop_proposal_law(x, hop, target)
-    if law is None:
-        return x
-    w = law.center + law.displacement(z, z1)
-    law_w = hop_proposal_law(w, hop, target)
-    if law_w is None:
-        return x
-    log_ratio = (
-        target.log_density(w)
-        - target.log_density(x)
-        + law_w.log_density(x)
-        - law.log_density(w)
-    )
-    return w if accept_log_ratio(log_ratio, u_hop) else x
+    return _next_state(state, x_new, lp_x, y_new, lp_y, branch)
 
 
 def coupled_hug_hop_step(
@@ -443,55 +438,29 @@ def coupled_hug_hop_step(
     """
     if delta_hop <= 0:
         raise ValueError("delta_hop must be positive")
-    d = state.x.size
-
-    if state.met:
-        x_cur, _ = _hug_phase(state.x, state.y, hug, target, rng, True)
-        x_cur = _common_hop_advance(x_cur, hop, target, rng)
-        return CoupledChainState(x=x_cur, y=x_cur, t=state.t + 1, met=True, branch="common")
-
-    x_cur, y_cur = _hug_phase(state.x, state.y, hug, target, rng, False)
+    x_cur, lp_x, y_cur, lp_y = _hug_phase(state, *_start_densities(state, target), hug, target, rng)
 
     # Hop phase
     law_x = hop_proposal_law(x_cur, hop, target)
-    law_y = hop_proposal_law(y_cur, hop, target)
+    law_y = None if state.met else hop_proposal_law(y_cur, hop, target)
     sq = float(np.dot(x_cur - y_cur, x_cur - y_cur))
     branch = "hop-gcrn" if sq >= delta_hop else "hop-maximal"
-    coalesced = False
-    if law_x is None or law_y is None:
+    if state.met:
+        branch = "common"
+    elif law_x is None or law_y is None:
         # degenerate gradient: shared draws, each defined chain proposes alone
-        z = rng.standard_normal(d)
+        branch = "hop-degenerate"
+    if branch == "hop-maximal":
+        prop_x, prop_y, _ = maximal_independent_pair(law_x, law_y, rng)
+    else:
+        z = rng.standard_normal(x_cur.size)
         z1 = float(rng.standard_normal())
         prop_x = law_x.center + law_x.displacement(z, z1) if law_x is not None else None
         prop_y = law_y.center + law_y.displacement(z, z1) if law_y is not None else None
-        branch = "hop-degenerate"
-    elif branch == "hop-gcrn":
-        z = rng.standard_normal(d)
-        z1 = float(rng.standard_normal())
-        prop_x = law_x.center + law_x.displacement(z, z1)
-        prop_y = law_y.center + law_y.displacement(z, z1)
-    else:
-        prop_x, prop_y, coalesced = maximal_independent_pair(law_x, law_y, rng)
 
     u_hop = float(rng.uniform())
-
-    def _hop_accept(pos, law, prop):
-        if law is None or prop is None:
-            return pos
-        law_w = hop_proposal_law(prop, hop, target)
-        if law_w is None:
-            return pos
-        log_ratio = (
-            target.log_density(prop)
-            - target.log_density(pos)
-            + law_w.log_density(pos)
-            - law.log_density(prop)
-        )
-        return prop if accept_log_ratio(log_ratio, u_hop) else pos
-
-    x_new = _hop_accept(x_cur, law_x, prop_x)
-    y_new = _hop_accept(y_cur, law_y, prop_y)
-    met = (x_new is y_new) or bool((x_new == y_new).all())
-    if met and x_new is not y_new:
-        y_new = x_new
-    return CoupledChainState(x=x_new, y=y_new, t=state.t + 1, met=met, branch=branch)
+    if law_x is not None:
+        x_cur, lp_x = hop_accept(x_cur, lp_x, law_x, prop_x, u_hop, hop, target)
+    if law_y is not None:
+        y_cur, lp_y = hop_accept(y_cur, lp_y, law_y, prop_y, u_hop, hop, target)
+    return _next_state(state, x_cur, lp_x, y_cur, lp_y, branch)

@@ -165,7 +165,7 @@ def run_replicates(
         for _ in range(lag):
             lead = step(lead, rng)
 
-        state = CoupledChainState(x=lead.x, y=y0, t=0, met=False)
+        state = CoupledChainState(x=lead.x, y=y0, t=0, met=False, lp_x=lead.lp_x)
         trace: List[float] = []
         if store_trace:
             gap = state.x - state.y

@@ -136,17 +136,15 @@ class ExperimentConfig:
             raise ConfigError("seed", "seed must be an integer in [0, 2^63)")
         if self.scale not in SCALES:
             raise ConfigError("scale", f"must be one of {SCALES}")
-        if self.threads < 1:
-            raise ConfigError("threads", "must be a positive integer")
-        for name in ("d", "lag", "replicates", "max_iter", "n_steps"):
+        for name in _fields_parsed_by(_parse_int):
             value = getattr(self, name)
-            if value is not None and value < 1:
+            if name != "seed" and value is not None and value < 1:
                 raise ConfigError(name, "must be a positive integer")
-        for name in ("l", "h", "delta", "t_end", "dt"):
+        for name in _fields_parsed_by(float):
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ConfigError(name, "must be positive")
-        for name in ("delta_grid", "l_grid", "eps_grid"):
+        for name in _fields_parsed_by(_parse_float_tuple):
             grid = getattr(self, name)
             if grid is not None:
                 if len(grid) == 0:
@@ -170,24 +168,10 @@ class ExperimentConfig:
                     )
 
 
-_FIELD_PARSERS = {
-    "experiment": str,
-    "seed": int,
-    "scale": str,
-    "out": str,
-    "threads": int,
-    "d": int,
-    "l": float,
-    "h": float,
-    "target": str,
-    "lag": int,
-    "replicates": int,
-    "delta": float,
-    "max_iter": int,
-    "n_steps": int,
-    "t_end": float,
-    "dt": float,
-}
+def _parse_int(value) -> int:
+    if isinstance(value, bool):
+        raise ValueError("boolean is not an integer")
+    return int(str(value))
 
 
 def _parse_float_tuple(value) -> Tuple[float, ...]:
@@ -213,32 +197,48 @@ def _parse_starts(value) -> Tuple[Tuple[float, float, float], ...]:
     return tuple(out)
 
 
+# every config field's parser, in declaration order; the range checks in
+# ExperimentConfig.__post_init__ pick their fields from this table too
+_FIELD_PARSERS = {
+    "experiment": str,
+    "seed": _parse_int,
+    "scale": str,
+    "out": str,
+    "threads": _parse_int,
+    "d": _parse_int,
+    "l": float,
+    "h": float,
+    "target": str,
+    "couplings": _parse_str_tuple,
+    "starts": _parse_starts,
+    "lag": _parse_int,
+    "replicates": _parse_int,
+    "delta": float,
+    "delta_grid": _parse_float_tuple,
+    "l_grid": _parse_float_tuple,
+    "eps_grid": _parse_float_tuple,
+    "max_iter": _parse_int,
+    "n_steps": _parse_int,
+    "t_end": float,
+    "dt": float,
+}
+
+
+def _fields_parsed_by(parser) -> List[str]:
+    return [name for name, p in _FIELD_PARSERS.items() if p is parser]
+
+
 def make_config(data: Dict) -> ExperimentConfig:
     """Build a config from a plain mapping with field-level error messages."""
-    known = set(_FIELD_PARSERS) | {"couplings", "starts", "delta_grid", "l_grid", "eps_grid"}
     cleaned = {}
     for key, value in data.items():
         key = str(key).strip().replace("-", "_")
-        if key not in known:
+        if key not in _FIELD_PARSERS:
             raise ConfigError(key, "unknown configuration field")
         if value is None:
             continue
         try:
-            if key == "couplings":
-                cleaned[key] = _parse_str_tuple(value)
-            elif key == "starts":
-                cleaned[key] = _parse_starts(value)
-            elif key in ("delta_grid", "l_grid", "eps_grid"):
-                cleaned[key] = _parse_float_tuple(value)
-            elif key in ("seed", "threads", "d", "lag", "replicates", "max_iter", "n_steps"):
-                parsed = int(str(value)) if not isinstance(value, bool) else None
-                if parsed is None:
-                    raise ValueError("boolean is not an integer")
-                cleaned[key] = parsed
-            elif key in ("l", "h", "delta", "t_end", "dt"):
-                cleaned[key] = float(value)
-            else:
-                cleaned[key] = str(value)
+            cleaned[key] = _FIELD_PARSERS[key](value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(key, f"cannot parse value {value!r} ({exc})") from None
     if "experiment" not in cleaned:

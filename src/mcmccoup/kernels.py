@@ -2,7 +2,9 @@
 
 Random walk Metropolis driven by externally supplied randomness (so that
 couplings can share it), plus the gradient-bouncing Hug kernel and the
-gradient-scaled Hop kernel used for the multiscale sampler.
+gradient-scaled Hop kernel used for the multiscale sampler.  Every move,
+single or coupled, accepts through the one Metropolis-Hastings test in
+`metropolis`.
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ from .targets import TargetModel
 
 __all__ = [
     "accept_log_ratio",
+    "metropolis",
     "rwm_step",
     "HugParams",
     "HopParams",
     "hug_step",
     "hop_step",
+    "hop_accept",
     "AnisotropicGaussian",
     "hop_proposal_law",
 ]
@@ -32,6 +36,21 @@ def accept_log_ratio(log_ratio: float, u: float) -> bool:
     if log_ratio >= 0.0:
         return True
     return math.log(u) <= log_ratio if u > 0.0 else True
+
+
+def metropolis(x, lp_x: float, prop, lp_prop: float, u: float, *correction: float):
+    """Metropolis-Hastings test of prop against x with acceptance uniform u.
+
+    The log ratio is lp_prop - lp_x with each correction term added in
+    order (the proposal-density terms of a non-symmetric proposal).
+    Returns the kept position and its log density.
+    """
+    log_ratio = lp_prop - lp_x
+    for term in correction:
+        log_ratio += term
+    if accept_log_ratio(log_ratio, u):
+        return prop, lp_prop
+    return x, lp_x
 
 
 def rwm_step(x: np.ndarray, z: np.ndarray, u: float, h: float, target: TargetModel):
@@ -47,9 +66,8 @@ def rwm_step(x: np.ndarray, z: np.ndarray, u: float, h: float, target: TargetMod
     if not 0.0 <= u <= 1.0:
         raise ValueError("acceptance uniform must lie in [0, 1]")
     prop = x + h * z
-    log_ratio = target.log_density(prop) - target.log_density(x)
-    accepted = accept_log_ratio(log_ratio, u)
-    return (prop if accepted else x), accepted
+    x_next, _ = metropolis(x, target.log_density(x), prop, target.log_density(prop), u)
+    return x_next, x_next is prop
 
 
 @dataclass(frozen=True)
@@ -113,9 +131,8 @@ def hug_step(x: np.ndarray, v: np.ndarray, params: HugParams, u: float, target: 
         warnings.warn("hug bounce hit a zero/non-finite gradient; rejecting", RuntimeWarning)
         return x, False
     xp, _ = out
-    log_ratio = target.log_density(xp) - target.log_density(x)
-    accepted = accept_log_ratio(log_ratio, u)
-    return (xp if accepted else x), accepted
+    x_next, _ = metropolis(x, target.log_density(x), xp, target.log_density(xp), u)
+    return x_next, x_next is xp
 
 
 @dataclass(frozen=True)
@@ -190,14 +207,21 @@ def hop_step(
         warnings.warn("hop proposal undefined at a zero-gradient point; rejecting", RuntimeWarning)
         return x, False
     w = law_x.center + law_x.displacement(z, z1)
+    x_next, _ = hop_accept(x, target.log_density(x), law_x, w, u, params, target)
+    return x_next, x_next is w
+
+
+def hop_accept(
+    x, lp_x: float, law_x: AnisotropicGaussian, w, u: float, params: HopParams, target: TargetModel
+):
+    """Metropolis-Hastings test of the Hop proposal w ~ law_x from x.
+
+    Returns the kept position and its log density; a vanishing gradient
+    at w rejects, since the reverse proposal law is undefined there.
+    """
     law_w = hop_proposal_law(w, params, target)
     if law_w is None:
-        return x, False
-    log_ratio = (
-        target.log_density(w)
-        - target.log_density(x)
-        + law_w.log_density(x)
-        - law_x.log_density(w)
+        return x, lp_x
+    return metropolis(
+        x, lp_x, w, target.log_density(w), u, law_w.log_density(x), -law_x.log_density(w)
     )
-    accepted = accept_log_ratio(log_ratio, u)
-    return (w if accepted else x), accepted

@@ -52,9 +52,6 @@ class TargetModel:
     def grad(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def log_density_and_grad(self, x: np.ndarray):
-        return self.log_density(x), self.grad(x)
-
     def sample(self, rng: RngStream) -> np.ndarray:
         raise NotImplementedError(f"no exact sampler for kind {self.kind!r}")
 
@@ -74,9 +71,6 @@ class SphericalGaussian(TargetModel):
 
     def grad(self, x):
         return -x
-
-    def log_density_and_grad(self, x):
-        return -0.5 * float(np.dot(x, x)), -x
 
     def sample(self, rng):
         return rng.standard_normal(self.dim)
@@ -103,10 +97,6 @@ class DiagonalGaussian(TargetModel):
 
     def grad(self, x):
         return -x * self._inv
-
-    def log_density_and_grad(self, x):
-        g = -x * self._inv
-        return 0.5 * float(np.dot(g, x)), g
 
     def sample(self, rng):
         return self._sd * rng.standard_normal(self.dim)
@@ -144,10 +134,6 @@ class Ar1Gaussian(TargetModel):
 
     def grad(self, x):
         return -self._precision_apply(x)
-
-    def log_density_and_grad(self, x):
-        g = -self._precision_apply(x)
-        return 0.5 * float(np.dot(g, x)), g
 
     def sample(self, rng):
         z = rng.standard_normal(self.dim)
@@ -202,10 +188,6 @@ class DenseGaussian(TargetModel):
 
     def grad(self, x):
         return -self._solve(x - self.mean)
-
-    def log_density_and_grad(self, x):
-        g = -self._solve(x - self.mean)
-        return 0.5 * float(np.dot(g, x - self.mean)), g
 
     def sample(self, rng):
         return self.mean + self._chol_lower @ rng.standard_normal(self.dim)
@@ -287,22 +269,6 @@ class SvmPosterior(TargetModel):
         g[1:] += self._s2inv * ar
         g[0] -= self._edge * x[0]
         return g
-
-    def log_density_and_grad(self, x):
-        phi = self.params.phi
-        ar = phi * x[:-1] - x[1:]
-        ex = self._y2b * np.exp(-x)
-        logp = -0.5 * (
-            float(np.sum(x))
-            + float(np.sum(ex))
-            + self._s2inv * float(np.dot(ar, ar))
-            + self._edge * x[0] * x[0]
-        )
-        g = 0.5 * (ex - 1.0)
-        g[:-1] -= self._s2inv * phi * ar
-        g[1:] += self._s2inv * ar
-        g[0] -= self._edge * x[0]
-        return logp, g
 
     def prior_sample(self, rng: RngStream) -> np.ndarray:
         """Draw a latent path from the AR(1) prior (used to initialize chains)."""
@@ -388,7 +354,7 @@ def laplace_fit(
     finite-difference Hessian of -log density at the mode.
     """
     x = np.asarray(x0, dtype=float).copy()
-    f, g = model.log_density_and_grad(x)
+    f, g = model.log_density(x), model.grad(x)
     step = 1.0
     prev_x = prev_g = None
     it = 0

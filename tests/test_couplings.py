@@ -10,14 +10,17 @@ Closed-form oracles used below:
     N(y, s^2 I) is 2 Phi(-||x - y|| / (2 s)).
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from mcmccoup import couplings
 from mcmccoup.core_math import RngStream
 from mcmccoup.couplings import (
+    COUPLING_KINDS,
     CoupledChainState,
     CouplingSpec,
     IsotropicGaussian,
@@ -31,7 +34,15 @@ from mcmccoup.couplings import (
     reflection_maximal_pair,
 )
 from mcmccoup.kernels import HopParams, HugParams
-from mcmccoup.targets import DiagonalGaussian, SphericalGaussian
+from mcmccoup.targets import (
+    DEFAULT_SVM_PARAMS,
+    DiagonalGaussian,
+    SphericalGaussian,
+    SvmPosterior,
+    TargetModel,
+    laplace_fit,
+    svm_simulate,
+)
 
 
 def _batch_se(samples: np.ndarray, n_batches: int = 50) -> float:
@@ -262,7 +273,10 @@ def test_maximal_independent_identical_laws_always_coalesce():
         assert coalesced and wx is wy
 
 
-@pytest.mark.parametrize("kind", ["crn", "gcrn", "two-scale"])
+_MOMENT_KINDS = ("crn", "gcrn", "two-scale")
+
+
+@pytest.mark.parametrize("kind", _MOMENT_KINDS)
 def test_coupled_chain_marginal_moments(kind):
     # each chain of the coupled pair must remain an exact RWM chain; check
     # stationary second moments per coordinate against the target
@@ -271,7 +285,7 @@ def test_coupled_chain_marginal_moments(kind):
     d = var.size
     h = 2.38 / math.sqrt(d)
     spec = CouplingSpec(kind, delta=1.0 if kind == "two-scale" else None)
-    rng = RngStream(seed=303, stream_id=hash(kind) % 1000)
+    rng = RngStream(seed=303, stream_id=_MOMENT_KINDS.index(kind))
     state = CoupledChainState(x=np.ones(d), y=-np.ones(d))
     n_steps, burn = 60_000, 2_000
     sq_x = np.empty((n_steps, d))
@@ -452,3 +466,145 @@ def test_hug_hop_coupling_meets_and_stays_faithful():
         norms[i] = float(np.dot(state.x, state.x)) / 5.0
     se = _batch_se(norms)
     assert abs(norms.mean() - 1.0) < 4 * se + 0.02
+
+
+# ---------------------------------------------------------------------------
+# The log densities cached in CoupledChainState.
+
+_CROSS_KINDS = ("crn", "reflection", "gcrn", "gcrn-rotation", "gcrn-reflect")
+
+
+def _svm_pair(d=6):
+    _, y = svm_simulate(d, DEFAULT_SVM_PARAMS, RngStream(seed=31, stream_id=0))
+    post = SvmPosterior(y)
+    return post, laplace_fit(post, np.zeros(d), tol=1e-6).as_target()
+
+
+def _step_makers():
+    """(name, step(state, rng), start(rng)) for every coupled step function."""
+    small = DiagonalGaussian(np.array([1.0, 0.5, 2.0]))
+    post, surrogate = _svm_pair()
+    h = 0.9
+    hug, hop = HugParams(total_time=0.5, bounces=5), HopParams(lam=1.0, mu=1.0)
+
+    def two_starts(target):
+        return lambda rng: (target.sample(rng), target.sample(rng))
+
+    makers = []
+    for kind in COUPLING_KINDS:
+        spec = CouplingSpec(kind, delta=0.5 if kind == "two-scale" else None)
+        makers.append((
+            f"rwm-{kind}",
+            lambda st, rng, spec=spec: coupled_rwm_step(st, spec, h, small, rng),
+            two_starts(small),
+        ))
+    for kind in _CROSS_KINDS:
+        makers.append((
+            f"cross-{kind}",
+            lambda st, rng, kind=kind: cross_target_coupled_step(
+                st, 0.1, post, surrogate, kind, rng
+            ),
+            lambda rng: (post.prior_sample(rng), surrogate.sample(rng)),
+        ))
+    makers.append((
+        "hug",
+        lambda st, rng: coupled_hug_step(st, hug, post, rng),
+        lambda rng: (post.prior_sample(rng), post.prior_sample(rng)),
+    ))
+    makers.append((
+        "hug-hop",
+        lambda st, rng: coupled_hug_hop_step(st, hug, hop, 0.5, small, rng),
+        two_starts(small),
+    ))
+    return makers
+
+
+def test_cached_densities_match_recomputed():
+    for i, (name, step, start) in enumerate(_step_makers()):
+        runs = []
+        for clear in (False, True):
+            rng = RngStream(seed=1001, stream_id=i)
+            x, y = start(rng)
+            state = CoupledChainState(x=x, y=y)
+            path = []
+            for _ in range(300):
+                if clear:
+                    state = dataclasses.replace(state, lp_x=None, lp_y=None)
+                state = step(state, rng)
+                path.append((state.x.tobytes(), state.y.tobytes(), state.t, state.met))
+            runs.append(path)
+        assert runs[0] == runs[1], name
+
+
+class _CountingTarget(TargetModel):
+    def __init__(self, inner: TargetModel):
+        self.inner = inner
+        self.dim = inner.dim
+        self.calls = 0
+
+    def log_density(self, x):
+        self.calls += 1
+        return self.inner.log_density(x)
+
+    def grad(self, x):
+        return self.inner.grad(x)
+
+
+def _record_coalescence(monkeypatch):
+    hits = []
+    for name in ("reflection_maximal_pair", "maximal_independent_pair"):
+        def recorded(*args, _pair=getattr(couplings, name), **kwargs):
+            out = _pair(*args, **kwargs)
+            hits.append(out[2])
+            return out
+
+        monkeypatch.setattr(couplings, name, recorded)
+    return hits
+
+
+@pytest.mark.parametrize("kind", COUPLING_KINDS)
+def test_rwm_step_evaluates_only_the_proposals(kind, monkeypatch):
+    # 2 log_density calls per unmet step, 1 once met or when the proposals
+    # coalesce; the first step also fills the two starting densities
+    hits = _record_coalescence(monkeypatch)
+    target = _CountingTarget(SphericalGaussian(dim=2))
+    spec = CouplingSpec(kind, delta=0.5 if kind == "two-scale" else None)
+    rng = RngStream(seed=77, stream_id=COUPLING_KINDS.index(kind))
+    state = CoupledChainState(x=np.array([1.0, -1.0]), y=np.array([-0.5, 0.5]))
+    for i in range(400):
+        was_met = state.met
+        hits.clear()
+        before = target.calls
+        state = coupled_rwm_step(state, spec, 1.5, target, rng)
+        expected = 1 if was_met or any(hits) else 2
+        assert target.calls - before == expected + (2 if i == 0 else 0)
+
+
+def test_cross_target_step_evaluates_only_the_proposals():
+    post, surrogate = _svm_pair()
+    target_x, target_y = _CountingTarget(post), _CountingTarget(surrogate)
+    for i, kind in enumerate(_CROSS_KINDS):
+        rng = RngStream(seed=78, stream_id=i)
+        state = CoupledChainState(x=post.prior_sample(rng), y=surrogate.sample(rng))
+        state = cross_target_coupled_step(state, 0.1, target_x, target_y, kind, rng)
+        before = (target_x.calls, target_y.calls)
+        for _ in range(200):
+            state = cross_target_coupled_step(state, 0.1, target_x, target_y, kind, rng)
+        assert (target_x.calls - before[0], target_y.calls - before[1]) == (200, 200)
+
+
+def test_non_finite_starting_density_is_named():
+    # exp(-x) overflows at x = -1000, so the svm log density is -inf there
+    post, surrogate = _svm_pair()
+    bad = np.full(post.dim, -1000.0)
+    good = np.zeros(post.dim)
+    rng = RngStream(seed=79)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="chain x"):
+            coupled_rwm_step(CoupledChainState(x=bad, y=good), CouplingSpec("crn"), 0.5, post, rng)
+        with pytest.raises(ValueError, match="chain y"):
+            coupled_rwm_step(CoupledChainState(x=good, y=bad), CouplingSpec("crn"), 0.5, post, rng)
+        with pytest.raises(ValueError, match="chain x"):
+            cross_target_coupled_step(
+                CoupledChainState(x=bad, y=good), 0.5, post, surrogate, "gcrn", rng
+            )

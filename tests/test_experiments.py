@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -10,6 +11,7 @@ from mcmccoup.experiments import (
     ConfigError,
     EXPERIMENTS,
     ExperimentConfig,
+    _FIELD_PARSERS,
     _start_pair,
     make_config,
     parse_config_file,
@@ -59,6 +61,10 @@ def test_config_field_errors_are_attributed():
     with pytest.raises(ConfigError) as err:
         ExperimentConfig(experiment="svm-threshold-sweep", seed=1, delta_grid=())
     assert err.value.field == "delta_grid"
+
+
+def test_every_config_field_has_one_parser():
+    assert list(_FIELD_PARSERS) == [f.name for f in dataclasses.fields(ExperimentConfig)]
 
 
 def test_config_file_formats(tmp_path):

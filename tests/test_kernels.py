@@ -14,6 +14,7 @@ from mcmccoup.kernels import (
     hop_proposal_law,
     hop_step,
     hug_step,
+    metropolis,
     rwm_step,
 )
 from mcmccoup.targets import DiagonalGaussian, SphericalGaussian
@@ -32,6 +33,16 @@ def test_accept_log_ratio_edges():
     assert accept_log_ratio(-0.1, 0.0)  # u = 0 always accepts
     assert not accept_log_ratio(-50.0, 0.5)
     assert accept_log_ratio(math.log(0.5) + 1e-12, 0.5)
+
+
+def test_metropolis_keeps_the_position_with_its_density():
+    x, prop = np.zeros(2), np.ones(2)
+    kept, lp = metropolis(x, -1.0, prop, -2.0, 0.5)  # log ratio -1 < log 0.5
+    assert kept is x and lp == -1.0
+    kept, lp = metropolis(x, -1.0, prop, -2.0, 0.5, 0.4)  # -1 + 0.4 > log 0.5
+    assert kept is prop and lp == -2.0
+    kept, lp = metropolis(x, -1.0, prop, -2.0, 0.5, 0.4, -0.4)
+    assert kept is x and lp == -1.0
 
 
 def test_rwm_step_mechanics():
