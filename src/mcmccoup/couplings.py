@@ -31,13 +31,16 @@ import numpy as np
 
 from .core_math import RngStream
 from .kernels import (
+    AnisotropicGaussian,
     HopParams,
     HugParams,
     accept_log_ratio,
+    direction,
     hop_accept,
     hop_proposal_law,
     hug_proposal,
     metropolis,
+    reflect,
 )
 from .targets import TargetModel
 
@@ -47,7 +50,6 @@ __all__ = [
     "CoupledChainState",
     "couple_increments",
     "grad_projection_correlation",
-    "IsotropicGaussian",
     "reflection_maximal_pair",
     "maximal_independent_pair",
     "coupled_rwm_step",
@@ -93,7 +95,9 @@ class CoupledChainState:
     """Positions of the two chains, iteration count, and the meeting flag.
 
     Once met is True both fields reference one array and stay bit-identical.
-    branch records which sub-coupling the last two-scale step used.
+    branch records the coupling the last step actually used: the two-scale
+    sub-coupling, "common" once met, and "crn" where a vanishing gradient
+    or difference made an increment coupling fall back to it.
     lp_x and lp_y are the log densities of x and y, each under its own
     chain's target.  A step fills a missing (None) one once, raising
     ValueError if it is not finite, and passes both on to the next state,
@@ -120,10 +124,10 @@ def _start_density(lp, pos: np.ndarray, target: TargetModel, chain: str) -> floa
     return lp
 
 
-def _start_densities(state: CoupledChainState, target: TargetModel):
-    """(lp_x, lp_y) of a one-target pair; a met pair shares x's."""
-    lp_x = _start_density(state.lp_x, state.x, target, "x")
-    lp_y = lp_x if state.met else _start_density(state.lp_y, state.y, target, "y")
+def _start_densities(state: CoupledChainState, target_x: TargetModel, target_y: TargetModel):
+    """(lp_x, lp_y) of a pair; a met pair shares x's."""
+    lp_x = _start_density(state.lp_x, state.x, target_x, "x")
+    lp_y = lp_x if state.met else _start_density(state.lp_y, state.y, target_y, "y")
     return lp_x, lp_y
 
 
@@ -133,13 +137,6 @@ def _next_state(state, x, lp_x, y, lp_y, branch, meets=True) -> CoupledChainStat
     if met:
         y, lp_y = x, lp_x
     return CoupledChainState(x=x, y=y, t=state.t + 1, met=met, branch=branch, lp_x=lp_x, lp_y=lp_y)
-
-
-def _unit(v: np.ndarray):
-    n = math.sqrt(float(v.dot(v)))  # np.linalg.norm of a 1-d array, bit for bit
-    if n == 0.0 or not math.isfinite(n):
-        return None
-    return v / n
 
 
 def couple_increments(
@@ -162,7 +159,7 @@ def couple_increments(
     if kind == "reflection":
         if e is None:
             raise ValueError("reflection coupling needs the unit difference e")
-        return z, z - 2.0 * float(np.dot(e, z)) * e
+        return z, reflect(z, e)
     if kind == "gcrn":
         if n_x is None or n_y is None or z1 is None:
             raise ValueError("gcrn needs both gradient directions and z1")
@@ -177,9 +174,8 @@ def couple_increments(
             if c > 0:  # directions coincide: rotation is the identity
                 return z, z
             # antipodal: reflect in n_x, which maps n_x to n_y = -n_x
-            return z, z - 2.0 * float(np.dot(n_x, z)) * n_x
-        w = n_y - c * n_x
-        w /= float(np.linalg.norm(w))
+            return z, reflect(z, n_x)
+        w, _ = direction(n_y - c * n_x)
         s = math.sqrt(max(0.0, 1.0 - c * c))
         a, b = float(np.dot(n_x, z)), float(np.dot(w, z))
         zy = z + (c - 1.0) * (a * n_x + b * w) + s * (a * w - b * n_x)
@@ -187,10 +183,10 @@ def couple_increments(
     if kind == "gcrn-reflect":
         if n_x is None or n_y is None:
             raise ValueError("gcrn-reflect needs both gradient directions")
-        e_tilde = _unit(n_x - n_y)
+        e_tilde, _ = direction(n_x - n_y)
         if e_tilde is None:  # directions coincide, nothing to reflect in
             return z, z
-        return z, z - 2.0 * float(np.dot(e_tilde, z)) * e_tilde
+        return z, reflect(z, e_tilde)
     raise ValueError(f"couple_increments does not handle kind {kind!r}")
 
 
@@ -203,45 +199,24 @@ def grad_projection_correlation(
     """Correlation of the two acceptance projections n_x' Z_x and n_y' Z_y.
 
     For any target this is n_x'n_y under crn, n_x'n_y - 2(n_x'e)(n_y'e)
-    under reflection (e the unit difference), and exactly 1 under the gcrn
-    family.  With a Gaussian target the gradient is -(Sigma^-1) x, so these
-    reduce to the precision-weighted inner products of the positions.
+    = n_x'(reflect(n_y, e)) under reflection (e the unit difference), and
+    exactly 1 under the gcrn family.  With a Gaussian target the gradient
+    is -(Sigma^-1) x, so these reduce to the precision-weighted inner
+    products of the positions, which `ode_limits.rho_limit` takes as input.
     Convention: 1 when the chains have already met.
     """
     x, y = state.x, state.y
-    target_x = target
-    target_y = target_y or target_x
-    if kind in _GRAD_KINDS:
+    if kind in _GRAD_KINDS or state.met or np.array_equal(x, y):
         return 1.0
-    if state.met or np.array_equal(x, y):
-        return 1.0
-    n_x = _unit(target_x.grad(x))
-    n_y = _unit(target_y.grad(y))
+    n_x, _ = direction(target.grad(x))
+    n_y, _ = direction((target_y or target).grad(y))
     if n_x is None or n_y is None:
         raise ValueError("gradient vanishes; projection correlation undefined")
-    if kind == "crn":
-        return float(np.dot(n_x, n_y))
     if kind == "reflection":
-        e = _unit(x - y)
-        return float(np.dot(n_x, n_y)) - 2.0 * float(np.dot(n_x, e)) * float(np.dot(n_y, e))
-    raise ValueError(f"no projection correlation for kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class IsotropicGaussian:
-    """Spherical Gaussian proposal law N(center, sd^2 I)."""
-
-    center: np.ndarray
-    sd: float
-
-    def log_density(self, w: np.ndarray) -> float:
-        # up to the common -(d/2) log(2 pi)
-        diff = w - self.center
-        d = self.center.size
-        return -d * math.log(self.sd) - 0.5 * float(np.dot(diff, diff)) / self.sd**2
-
-    def sample(self, rng: RngStream) -> np.ndarray:
-        return self.center + self.sd * rng.standard_normal(self.center.size)
+        n_y = reflect(n_y, direction(x - y)[0])
+    elif kind != "crn":
+        raise ValueError(f"no projection correlation for kind {kind!r}")
+    return float(np.dot(n_x, n_y))
 
 
 def reflection_maximal_pair(x: np.ndarray, y: np.ndarray, h: float, rng: RngStream):
@@ -261,9 +236,7 @@ def reflection_maximal_pair(x: np.ndarray, y: np.ndarray, h: float, rng: RngStre
     prop_x = x + h * z
     if accept_log_ratio(log_accept, u):
         return prop_x, prop_x, True
-    dhat = _unit(delta)
-    z_y = z - 2.0 * float(np.dot(dhat, z)) * dhat
-    return prop_x, y + h * z_y, False
+    return prop_x, y + h * reflect(z, direction(delta)[0]), False
 
 
 def maximal_independent_pair(law_x, law_y, rng: RngStream, max_tries: int = 100_000):
@@ -296,16 +269,54 @@ def _increment_proposals(kind, x, y, h, target_x, target_y, rng: RngStream):
     z1 = float(rng.standard_normal()) if kind == "gcrn" else None
     n_x = n_y = e = None
     if kind in _GRAD_KINDS:
-        n_x = _unit(target_x.grad(x))
-        n_y = _unit(target_y.grad(y))
+        n_x, _ = direction(target_x.grad(x))
+        n_y, _ = direction(target_y.grad(y))
         if n_x is None or n_y is None:
             kind = "crn"
     if kind == "reflection":
-        e = _unit(x - y)
+        e, _ = direction(x - y)
         if e is None:
             kind = "crn"
     zx, zy = couple_increments(kind, z, z1=z1, n_x=n_x, n_y=n_y, e=e)
     return x + h * zx, y + h * zy, kind
+
+
+def _rwm_pair_step(state, kind, delta, h, target_x, target_y, rng: RngStream):
+    """One RWM step of each chain, on its own target, under coupling kind.
+
+    Both acceptance tests use one shared uniform, so each chain is
+    marginally an exact RWM(h) chain.  delta is the two-scale switch
+    level.  A pair on one target (target_y is target_x) meets when its
+    positions coincide and from then on moves with one shared draw.
+    """
+    if h <= 0:
+        raise ValueError("step size h must be positive")
+    lp_x, lp_y = _start_densities(state, target_x, target_y)
+    x, y = state.x, state.y
+    if state.met:
+        kind = "common"
+    elif kind == "two-scale":
+        kind = "gcrn" if float(np.dot(x - y, x - y)) >= delta else "reflection-maximal"
+
+    if kind == "common":
+        # both chains move with one shared draw, staying identical
+        prop_x = prop_y = x + h * rng.standard_normal(x.size)
+    elif kind in _INCREMENT_KINDS:
+        prop_x, prop_y, kind = _increment_proposals(kind, x, y, h, target_x, target_y, rng)
+    elif kind == "reflection-maximal":
+        prop_x, prop_y, _ = reflection_maximal_pair(x, y, h, rng)
+    else:  # maximal-independent; the public steps validate kinds
+        axis = np.eye(1, x.size)[0]  # any unit axis: equal sds make the law N(., h^2 I)
+        law_x, law_y = (AnisotropicGaussian(c, axis, h, h) for c in (x, y))
+        prop_x, prop_y, _ = maximal_independent_pair(law_x, law_y, rng)
+
+    u = float(rng.uniform())
+    # coalesced proposals are one array, so its density is evaluated once
+    lp_prop_x = target_x.log_density(prop_x)
+    lp_prop_y = lp_prop_x if prop_y is prop_x else target_y.log_density(prop_y)
+    x, lp_x = metropolis(x, lp_x, prop_x, lp_prop_x, u)
+    y, lp_y = metropolis(y, lp_y, prop_y, lp_prop_y, u)
+    return _next_state(state, x, lp_x, y, lp_y, kind, meets=target_y is target_x)
 
 
 def coupled_rwm_step(
@@ -321,37 +332,7 @@ def coupled_rwm_step(
     an exact RWM(h) chain.  Meetings are sticky: once positions coincide the
     chains are advanced together forever.
     """
-    if h <= 0:
-        raise ValueError("step size h must be positive")
-    lp_x, lp_y = _start_densities(state, target)
-    x, y = state.x, state.y
-    kind = cspec.kind
-    branch = kind
-    if state.met:
-        branch = kind = "common"
-    elif kind == "two-scale":
-        sq = float(np.dot(x - y, x - y))
-        branch = "gcrn" if sq >= cspec.delta else "reflection-maximal"
-        kind = branch
-
-    if kind == "common":
-        # both chains move with one shared draw, staying identical
-        prop_x = prop_y = x + h * rng.standard_normal(x.size)
-        coalesced = True
-    elif kind in _INCREMENT_KINDS:
-        prop_x, prop_y, _ = _increment_proposals(kind, x, y, h, target, target, rng)
-        coalesced = False
-    elif kind == "reflection-maximal":
-        prop_x, prop_y, coalesced = reflection_maximal_pair(x, y, h, rng)
-    elif kind == "maximal-independent":
-        law_x = IsotropicGaussian(x, h)
-        law_y = IsotropicGaussian(y, h)
-        prop_x, prop_y, coalesced = maximal_independent_pair(law_x, law_y, rng)
-    else:  # pragma: no cover - CouplingSpec validates kinds
-        raise ValueError(f"unhandled coupling kind {kind!r}")
-
-    u = float(rng.uniform())
-    return _accept_pair(state, lp_x, lp_y, prop_x, prop_y, u, target, target, branch, coalesced)
+    return _rwm_pair_step(state, cspec.kind, cspec.delta, h, target, target, rng)
 
 
 def cross_target_coupled_step(
@@ -370,26 +351,7 @@ def cross_target_coupled_step(
     """
     if kind not in _INCREMENT_KINDS:
         raise ValueError(f"cross-target coupling does not support kind {kind!r}")
-    x, y = state.x, state.y
-    lp_x = _start_density(state.lp_x, x, target_x, "x")
-    lp_y = _start_density(state.lp_y, y, target_y, "y")
-    prop_x, prop_y, kind = _increment_proposals(kind, x, y, h, target_x, target_y, rng)
-    u = float(rng.uniform())
-    return _accept_pair(state, lp_x, lp_y, prop_x, prop_y, u, target_x, target_y, kind, meets=False)
-
-
-def _accept_pair(
-    state, lp_x, lp_y, prop_x, prop_y, u, target_x, target_y, branch, coalesced=False, meets=True
-) -> CoupledChainState:
-    """Both chains' Metropolis tests with one shared uniform.
-
-    Coalesced proposals are one array, so its density is evaluated once.
-    """
-    lp_prop_x = target_x.log_density(prop_x)
-    lp_prop_y = lp_prop_x if coalesced else target_y.log_density(prop_y)
-    x, lp_x = metropolis(state.x, lp_x, prop_x, lp_prop_x, u)
-    y, lp_y = metropolis(state.y, lp_y, prop_y, lp_prop_y, u)
-    return _next_state(state, x, lp_x, y, lp_y, branch, meets)
+    return _rwm_pair_step(state, kind, None, h, target_x, target_y, rng)
 
 
 def _hug_move(x, lp_x, v, u, hug, target):
@@ -399,8 +361,9 @@ def _hug_move(x, lp_x, v, u, hug, target):
     return metropolis(x, lp_x, out[0], target.log_density(out[0]), u)
 
 
-def _hug_phase(state, lp_x, lp_y, hug, target, rng):
+def _hug_phase(state, hug, target, rng):
     """Shared-velocity, shared-uniform Hug moves; returns (x, lp_x, y, lp_y)."""
+    lp_x, lp_y = _start_densities(state, target, target)
     v = rng.standard_normal(state.x.size)
     u_hug = float(rng.uniform())
     x, lp_x = _hug_move(state.x, lp_x, v, u_hug, hug, target)
@@ -415,7 +378,7 @@ def coupled_hug_step(
     rng: RngStream,
 ) -> CoupledChainState:
     """One coupled Hug move: both chains share the velocity and uniform."""
-    x_new, lp_x, y_new, lp_y = _hug_phase(state, *_start_densities(state, target), hug, target, rng)
+    x_new, lp_x, y_new, lp_y = _hug_phase(state, hug, target, rng)
     branch = "common" if state.met else "hug"
     return _next_state(state, x_new, lp_x, y_new, lp_y, branch)
 
@@ -438,7 +401,7 @@ def coupled_hug_hop_step(
     """
     if delta_hop <= 0:
         raise ValueError("delta_hop must be positive")
-    x_cur, lp_x, y_cur, lp_y = _hug_phase(state, *_start_densities(state, target), hug, target, rng)
+    x_cur, lp_x, y_cur, lp_y = _hug_phase(state, hug, target, rng)
 
     # Hop phase
     law_x = hop_proposal_law(x_cur, hop, target)

@@ -44,7 +44,7 @@ from .diagnostics import (
     w2_bound_curve,
 )
 from .fixed_points import h_rho, solve_fixed_point, sweep_asymptotes
-from .kernels import HopParams, HugParams, hug_proposal, rwm_step
+from .kernels import AnisotropicGaussian, HopParams, HugParams, hug_proposal, rwm_step
 from .ode_limits import drift_c, g_value, integrate_w, OdeState
 from .targets import (
     Ar1Gaussian,
@@ -869,10 +869,9 @@ def _validate_checks():
 
     @check("maximal coupling equality probability matches")
     def _maximal():
-        from .couplings import IsotropicGaussian
         rng = RngStream(77, 3)
-        law_x = IsotropicGaussian(np.zeros(2), 1.0)
-        law_y = IsotropicGaussian(np.array([1.0, 0.0]), 1.0)
+        axis = np.array([1.0, 0.0])  # N(0, I) and N(axis, I), one unit apart
+        law_x, law_y = (AnisotropicGaussian(c, axis, 1.0, 1.0) for c in (np.zeros(2), axis))
         n, hits = 20_000, 0
         for _ in range(n):
             _, _, same = maximal_independent_pair(law_x, law_y, rng)

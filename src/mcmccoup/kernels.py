@@ -20,6 +20,8 @@ from .targets import TargetModel
 __all__ = [
     "accept_log_ratio",
     "metropolis",
+    "direction",
+    "reflect",
     "rwm_step",
     "HugParams",
     "HopParams",
@@ -51,6 +53,19 @@ def metropolis(x, lp_x: float, prop, lp_prop: float, u: float, *correction: floa
     if accept_log_ratio(log_ratio, u):
         return prop, lp_prop
     return x, lp_x
+
+
+def direction(v: np.ndarray):
+    """(v / ||v||, ||v||), or (None, ||v||) when the norm is zero or not finite."""
+    n = math.sqrt(float(v.dot(v)))  # np.linalg.norm of a 1-d array, bit for bit
+    if n == 0.0 or not math.isfinite(n):
+        return None, n
+    return v / n, n
+
+
+def reflect(v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Reflection v - 2 (u'v) u of v in the hyperplane orthogonal to the unit vector u."""
+    return v - 2.0 * float(np.dot(u, v)) * u
 
 
 def rwm_step(x: np.ndarray, z: np.ndarray, u: float, h: float, target: TargetModel):
@@ -107,15 +122,13 @@ def hug_proposal(x: np.ndarray, v: np.ndarray, params: HugParams, target: Target
     """
     delta = params.delta
     xp = np.array(x, dtype=float, copy=True)
-    vp = np.array(v, dtype=float, copy=True)
+    vp = np.asarray(v, dtype=float)
     for _ in range(params.bounces):
         xp += 0.5 * delta * vp
-        g = target.grad(xp)
-        gn = float(np.linalg.norm(g))
-        if gn == 0.0 or not math.isfinite(gn):
+        ghat, _ = direction(target.grad(xp))
+        if ghat is None:
             return None
-        ghat = g / gn
-        vp -= 2.0 * float(np.dot(vp, ghat)) * ghat
+        vp = reflect(vp, ghat)
         xp += 0.5 * delta * vp
     return xp, vp
 
@@ -177,13 +190,12 @@ def hop_proposal_law(x: np.ndarray, params: HopParams, target: TargetModel):
     gradient direction and mu/||g|| orthogonal to it: big jumps along the
     gradient where the density is flat, small careful ones where it is steep.
     """
-    g = target.grad(x)
-    gn = float(np.linalg.norm(g))
-    if gn == 0.0 or not math.isfinite(gn):
+    axis, gn = direction(target.grad(x))
+    if axis is None:
         return None
     return AnisotropicGaussian(
         center=np.array(x, dtype=float, copy=True),
-        axis=g / gn,
+        axis=axis,
         sd_axis=params.lam / gn,
         sd_orth=params.mu / gn,
     )

@@ -111,28 +111,34 @@ def drift_a(x: float, l: float) -> float:
     return (1.0 - 2.0 * x) * _q(x, l) + float(ndtr(-l / (2.0 * math.sqrt(x))))
 
 
-def rho_limit(kind: str, state: OdeState) -> float:
-    """Limiting correlation of the two acceptance projections at a state.
+def rho_limit(kind: str, w1, w0=None, wm1=None, eps: float = 1.0) -> float:
+    """Limiting correlation of the two acceptance projections.
 
-    crn: v / sqrt(xy);  reflection: (2xy - (x+y)v) / (sqrt(xy)(x+y-2v));
-    gcrn: 1.  Convention rho = 1 when x = 0 or y = 0, and at the reflection
+    w1, w0, wm1: the (x_k, y_k, v_k) at k = 1, 0, -1, proportional to
+    (X'Omega^{k+1}X, Y'Omega^{k+1}Y, X'Omega^{k+1}Y); a spherical state is all
+    three (the default).  crn: v_1 / sqrt(x_1 y_1); reflection adds
+    2 (x_0 - v_0)(y_0 - v_0) / (eps sqrt(x_1 y_1) (x_-1 + y_-1 - 2 v_-1));
+    gcrn: 1.  On raw inner products with eps = 1 this is the finite-d
+    `couplings.grad_projection_correlation` of a centred Gaussian target.
+    Convention rho = 1 when x_1 = 0 or y_1 = 0, and at the reflection
     boundary x = y = v where the expression is 0/0.
     """
-    x, y, v = state.x, state.y, state.v
+    x_1, y_1, v_1 = w1
     if kind == "gcrn":
         return 1.0
-    if x < 0 or y < 0:
+    if x_1 < 0 or y_1 < 0:
         raise ValueError("state outside S: negative squared norm")
-    if x == 0.0 or y == 0.0:
+    if x_1 == 0.0 or y_1 == 0.0:
         return 1.0
-    if kind == "crn":
-        rho = v / math.sqrt(x * y)
-    elif kind == "reflection":
-        denom = x + y - 2.0 * v
-        if denom <= 1e-14 * (x + y):
+    rho = v_1 / math.sqrt(x_1 * y_1)
+    if kind == "reflection":
+        x_0, y_0, v_0 = w1 if w0 is None else w0
+        x_m1, y_m1, v_m1 = w1 if wm1 is None else wm1
+        denom = x_m1 + y_m1 - 2.0 * v_m1
+        if denom <= 1e-14 * (x_m1 + y_m1):
             return 1.0
-        rho = (2.0 * x * y - (x + y) * v) / (math.sqrt(x * y) * denom)
-    else:
+        rho += 2.0 * (x_0 - v_0) * (y_0 - v_0) / (eps * math.sqrt(x_1 * y_1) * denom)
+    elif kind != "crn":
         raise ValueError(f"no projection correlation for kind {kind!r}")
     return min(1.0, max(-1.0, rho))
 
@@ -316,25 +322,6 @@ def elliptical_infinitesimal(k: int, quantities, l1: float):
     return a_x, a_y, b_v
 
 
-def _two_eig_rho(kind, coords, eps):
-    # Lemma-3 style correlations from the suffix coordinates at k = -1, 0, 1
-    (x_m1, y_m1, v_m1), (x_0, y_0, v_0), (x_1, y_1, v_1) = coords
-    if kind == "gcrn":
-        return 1.0
-    if x_1 <= 0 or y_1 <= 0:
-        return 1.0
-    base = v_1 / math.sqrt(x_1 * y_1)
-    if kind == "crn":
-        return min(1.0, max(-1.0, base))
-    if kind == "reflection":
-        denom = x_m1 + y_m1 - 2.0 * v_m1
-        if denom <= 1e-14 * (x_m1 + y_m1):
-            return 1.0
-        rho = base + 2.0 * (x_0 - v_0) * (y_0 - v_0) / (eps * math.sqrt(x_1 * y_1) * denom)
-        return min(1.0, max(-1.0, rho))
-    raise ValueError(f"no projection correlation for kind {kind!r}")
-
-
 def two_eigenvalue_ode(
     sigma2: float,
     w0_blocks,
@@ -399,7 +386,7 @@ def two_eigenvalue_ode(
         coords = []
         for k in (-1, 0, 1):
             coords.append((suffix(bx, k), suffix(by, k), suffix(bv, k)))
-        rho = _two_eig_rho(kind, coords, eps)
+        rho = rho_limit(kind, coords[2], coords[1], coords[0], eps)
         x1, y1 = coords[2][0], coords[2][1]
         # drifts of the suffix coordinates x_{k-1} at k = 0 and k = 1
         rx = np.empty(2)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cholesky, eigh, get_lapack_funcs
+from scipy.linalg import cho_solve, cholesky, eigh, get_lapack_funcs
 
 from .core_math import RngStream
 
@@ -158,7 +158,7 @@ class Ar1Gaussian(TargetModel):
 
 
 class DenseGaussian(TargetModel):
-    """Gaussian with arbitrary mean and SPD covariance, Cholesky cached."""
+    """Gaussian with arbitrary mean and SPD covariance; one cached lower Cholesky factor."""
 
     kind = "dense-gaussian"
 
@@ -174,13 +174,12 @@ class DenseGaussian(TargetModel):
         self.dim = mean.size
         try:
             self._chol_lower = cholesky(self.cov, lower=True)
-            self._cho = cho_factor(self.cov, lower=True)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises its own
             raise ValueError("covariance must be positive definite") from exc
-        (self._potrs,) = get_lapack_funcs(("potrs",), (self._cho[0],))
+        (self._potrs,) = get_lapack_funcs(("potrs",), (self._chol_lower,))
 
     def _solve(self, r):  # cho_solve's LAPACK call, minus its finiteness scan of the factor
-        return self._potrs(self._cho[0], r, lower=True)[0]
+        return self._potrs(self._chol_lower, r, lower=True)[0]
 
     def log_density(self, x):
         r = x - self.mean
@@ -351,7 +350,9 @@ def laplace_fit(
     The mode is found by monotone gradient ascent with backtracking (the
     trial step uses a Barzilai-Borwein length, so stiff targets still make
     progress); the covariance is the inverse of the symmetrized central
-    finite-difference Hessian of -log density at the mode.
+    finite-difference Hessian of -log density at the mode.  Close to the
+    mode the Armijo test on f cannot resolve progress, so an ascent that
+    ends above tol takes up to three Newton steps on that Hessian.
     """
     x = np.asarray(x0, dtype=float).copy()
     f, g = model.log_density(x), model.grad(x)
@@ -378,25 +379,35 @@ def laplace_fit(
             step *= 0.5
         x, f = x_new, f_new
         g = model.grad(x)
+    d = x.size
+
+    def neg_hessian_factor(x):
+        # lower Cholesky factor of -H, H the symmetrized finite-difference Hessian at x
+        hess = np.empty((d, d))
+        for j in range(d):
+            h = fd_step * max(1.0, abs(x[j]))
+            e = np.zeros(d)
+            e[j] = h
+            hess[:, j] = (model.grad(x + e) - model.grad(x - e)) / (2.0 * h)
+        try:
+            return cholesky(-0.5 * (hess + hess.T), lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError("Hessian at the fitted point is not negative definite") from exc
+
     grad_sup = float(np.max(np.abs(g)))
+    for _ in range(3):
+        if grad_sup <= tol:
+            break
+        x = x + cho_solve((neg_hessian_factor(x), True), g)
+        g = model.grad(x)
+        grad_sup = float(np.max(np.abs(g)))
+        it += 1
     if grad_sup > tol:
         raise RuntimeError(
-            f"gradient ascent did not reach tol={tol} in {max_iter} iterations "
+            f"gradient ascent and Newton steps did not reach tol={tol} in {it} iterations "
             f"(sup |grad| = {grad_sup:.3e})"
         )
-    d = x.size
-    hess = np.empty((d, d))
-    for j in range(d):
-        h = fd_step * max(1.0, abs(x[j]))
-        e = np.zeros(d)
-        e[j] = h
-        hess[:, j] = (model.grad(x + e) - model.grad(x - e)) / (2.0 * h)
-    hess = 0.5 * (hess + hess.T)
-    neg = -hess
-    try:
-        low = cholesky(neg, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError("Hessian at the fitted point is not negative definite") from exc
+    low = neg_hessian_factor(x)
     inv_low = np.linalg.inv(low)
     cov = inv_low.T @ inv_low
     cov = 0.5 * (cov + cov.T)

@@ -23,7 +23,6 @@ from mcmccoup.couplings import (
     COUPLING_KINDS,
     CoupledChainState,
     CouplingSpec,
-    IsotropicGaussian,
     couple_increments,
     coupled_hug_hop_step,
     coupled_hug_step,
@@ -33,7 +32,8 @@ from mcmccoup.couplings import (
     maximal_independent_pair,
     reflection_maximal_pair,
 )
-from mcmccoup.kernels import HopParams, HugParams
+from mcmccoup.kernels import AnisotropicGaussian, HopParams, HugParams
+from mcmccoup.ode_limits import rho_limit
 from mcmccoup.targets import (
     DEFAULT_SVM_PARAMS,
     DiagonalGaussian,
@@ -183,6 +183,47 @@ def test_projection_correlation_closed_forms():
         grad_projection_correlation("crn", CoupledChainState(x=np.zeros(4), y=y), target)
 
 
+@pytest.mark.parametrize("spectrum", ["two-eig-d2", "two-eig-d50", "chi2-d50"])
+def test_projection_correlation_is_the_rho_limit_rule(spectrum):
+    # on a centred Gaussian, the finite-d correlation is rho_limit fed the raw
+    # inner products W_k = (x'O^{k+1}x, y'O^{k+1}y, x'O^{k+1}y), O = Sigma^-1
+    rng = np.random.default_rng(2022)
+    if spectrum == "chi2-d50":
+        var = rng.chisquare(3, size=50) / 3.0
+    else:
+        var = np.tile([1.0, 24.0], 1 if spectrum == "two-eig-d2" else 25)
+    target = DiagonalGaussian(var)
+    omega = 1.0 / var
+    for _ in range(200):
+        x, y = (np.sqrt(var) * rng.standard_normal(var.size) for _ in range(2))
+        w1, w0, wm1 = (
+            tuple(float(np.dot(a * omega ** (k + 1), b)) for a, b in ((x, x), (y, y), (x, y)))
+            for k in (1, 0, -1)
+        )
+        state = CoupledChainState(x=x, y=y)
+        for kind in ("crn", "reflection"):
+            finite_d = grad_projection_correlation(kind, state, target)
+            assert abs(finite_d - rho_limit(kind, w1, w0, wm1)) <= 1e-12
+
+
+def test_rwm_branch_records_the_crn_fallback():
+    # a vanishing gradient (x at the mode) or difference (x == y, not met)
+    # leaves no direction to couple in, so the step runs crn and says so
+    target = SphericalGaussian(dim=3)
+    rng = RngStream(seed=88)
+    origin, y = np.zeros(3), np.array([0.5, -0.2, 1.0])
+    for kind, state in (
+        ("gcrn", CoupledChainState(x=origin, y=y)),
+        ("gcrn-rotation", CoupledChainState(x=y, y=origin)),
+        ("reflection", CoupledChainState(x=y, y=y.copy())),
+    ):
+        assert coupled_rwm_step(state, CouplingSpec(kind), 0.5, target, rng).branch == "crn"
+    spec = CouplingSpec("two-scale", delta=1e-6)
+    assert coupled_rwm_step(CoupledChainState(x=origin, y=y), spec, 0.5, target, rng).branch == "crn"
+    state = CoupledChainState(x=y, y=-y)
+    assert coupled_rwm_step(state, CouplingSpec("gcrn"), 0.5, target, rng).branch == "gcrn"
+
+
 def test_projection_correlation_matches_sampling():
     # empirical correlation of the two projections against the formulas
     target = DiagonalGaussian(np.array([1.0, 0.7, 1.8]))
@@ -247,8 +288,9 @@ def test_maximal_independent_overlap_and_marginal():
     sd = 0.5
     mu_x = np.array([0.2, 0.1, -0.4])
     mu_y = mu_x + np.array([0.0, 1.0, 0.0])
-    law_x = IsotropicGaussian(mu_x, sd)
-    law_y = IsotropicGaussian(mu_y, sd)
+    axis = np.array([1.0, 0.0, 0.0])
+    law_x = AnisotropicGaussian(mu_x, axis, sd, sd)
+    law_y = AnisotropicGaussian(mu_y, axis, sd, sd)
     p_true = 2.0 * float(ndtr(-1.0 / (2.0 * sd)))
     n_draws = 60_000
     hits = 0
@@ -267,7 +309,7 @@ def test_maximal_independent_overlap_and_marginal():
 
 def test_maximal_independent_identical_laws_always_coalesce():
     rng = RngStream(seed=2)
-    law = IsotropicGaussian(np.zeros(2), 1.0)
+    law = AnisotropicGaussian(np.zeros(2), np.array([1.0, 0.0]), 1.0, 1.0)
     for _ in range(200):
         wx, wy, coalesced = maximal_independent_pair(law, law, rng)
         assert coalesced and wx is wy

@@ -11,10 +11,12 @@ from mcmccoup.kernels import (
     HopParams,
     HugParams,
     accept_log_ratio,
+    direction,
     hop_proposal_law,
     hop_step,
     hug_step,
     metropolis,
+    reflect,
     rwm_step,
 )
 from mcmccoup.targets import DiagonalGaussian, SphericalGaussian
@@ -25,6 +27,31 @@ def _batch_se(samples, n_batches=50):
     m = samples.size // n_batches
     means = samples[: m * n_batches].reshape(n_batches, m).mean(axis=1)
     return means.std(ddof=1) / math.sqrt(n_batches)
+
+
+def test_direction_norm_is_numpy_norm_and_reflect_is_an_isometric_involution():
+    rng = np.random.default_rng(41)
+    for d in range(1, 1001):
+        v = rng.standard_normal(d) * 10.0 ** rng.uniform(-3.0, 3.0)
+        u, n = direction(v)
+        assert n == np.linalg.norm(v)  # bit for bit: Hug and Hop bounce on it
+        np.testing.assert_array_equal(u, v / n)
+    for bad in (np.zeros(3), np.array([math.inf]), np.array([math.nan])):
+        u, n = direction(bad)
+        assert u is None
+        assert n == np.linalg.norm(bad) or (math.isnan(n) and math.isnan(np.linalg.norm(bad)))
+    # unit vectors; rounding reaches 1.8e-15 in the involution at d = 2
+    tol = 10.0 * np.finfo(float).eps
+    for d in (1, 2, 5, 20, 100):
+        for _ in range(200):
+            v, _ = direction(rng.standard_normal(d))
+            u, _ = direction(rng.standard_normal(d))
+            w = reflect(v, u)
+            assert np.max(np.abs(reflect(w, u) - v)) <= tol
+            assert abs(np.linalg.norm(w) - 1.0) <= tol
+            p, _ = direction(rng.standard_normal(d))
+            assert abs(float(np.dot(w, reflect(p, u))) - float(np.dot(v, p))) <= tol
+            assert np.max(np.abs(reflect(u, u) + u)) <= tol
 
 
 def test_accept_log_ratio_edges():

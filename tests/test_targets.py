@@ -223,6 +223,22 @@ def test_laplace_fit_svm_matches_reference_optimizer():
     assert spectral_summary(fit.as_target()).epsilon > 1.0
 
 
+@pytest.mark.parametrize("d", [10, 50])
+@pytest.mark.parametrize("seed", [46200, 2, 3])
+def test_laplace_fit_default_tol_finishes_with_newton_steps(d, seed):
+    # the backtracking ascent stalls at sup |grad| 4e-8 to 9.5e-8 on these
+    # data sets, where the Armijo test on f cannot resolve further progress
+    _, y = svm_simulate(d, DEFAULT_SVM_PARAMS, RngStream(seed, 10**6 + 1))
+    model = SvmPosterior(y)
+    fit = laplace_fit(model, np.zeros(d))
+    assert fit.grad_sup <= 1e-8
+    assert float(np.max(np.abs(model.grad(fit.mean)))) == fit.grad_sup
+    assert 20_000 < fit.iterations <= 20_003
+    coarse = laplace_fit(model, np.zeros(d), tol=1e-6)
+    assert np.max(np.abs(fit.mean - coarse.mean)) < 1e-4
+    assert np.all(np.linalg.eigvalsh(fit.cov) > 0)
+
+
 def test_file_format_round_trips(tmp_path):
     rng = RngStream(31, 0)
     _, y = svm_simulate(20, DEFAULT_SVM_PARAMS, rng)
