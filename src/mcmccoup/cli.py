@@ -37,8 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory (default: results)")
     parser.add_argument(
         "--threads", type=int, metavar="K",
-        help="replicate worker threads; results do not depend on K, and K > 1"
-        " has not been faster, since each step holds the interpreter lock",
+        help="accepted for compatibility and ignored (after a check that K is a"
+        " positive integer); replicates run one after another in index order",
     )
     parser.add_argument(
         "--set",

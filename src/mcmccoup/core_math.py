@@ -3,8 +3,7 @@
 Standard normal CDF/quantile wrappers, bivariate normal rectangle
 probabilities to near machine precision, the two closed-form Gaussian
 acceptance integrals that drive every dimensional limit in this package,
-and counter-based random streams for reproducible (optionally parallel)
-sampling.
+and counter-based random streams for reproducible sampling.
 """
 
 from __future__ import annotations
@@ -229,8 +228,7 @@ class RngStream:
     """Counter-based random stream keyed by (seed, stream_id).
 
     Identical keys reproduce bit-identical sequences; distinct stream ids
-    give statistically independent streams, safe to hand out across worker
-    processes without coordination.
+    give statistically independent streams.
     """
 
     seed: int
@@ -253,7 +251,3 @@ class RngStream:
 
     def uniform(self, size=None):
         return self._gen.random(size)  # the doubles of uniform(0, 1), minus its affine map
-
-    def spawn(self, stream_id: int) -> "RngStream":
-        """Sibling stream with the same seed and a fresh stream id."""
-        return RngStream(self.seed, stream_id)

@@ -239,7 +239,7 @@ def reflection_maximal_pair(x: np.ndarray, y: np.ndarray, h: float, rng: RngStre
     return prop_x, y + h * reflect(z, direction(delta)[0]), False
 
 
-def maximal_independent_pair(law_x, law_y, rng: RngStream, max_tries: int = 100_000):
+def maximal_independent_pair(law_x, law_y, rng: RngStream):
     """Maximal coupling with independent residuals of two proposal laws.
 
     Laws need .sample(rng) and .log_density(w) (consistent up to a shared
@@ -250,12 +250,12 @@ def maximal_independent_pair(law_x, law_y, rng: RngStream, max_tries: int = 100_
     u1 = float(rng.uniform())
     if accept_log_ratio(law_y.log_density(w_x) - law_x.log_density(w_x), u1):
         return w_x, w_x, True
-    for _ in range(max_tries):
+    for _ in range(100_000):
         w_y = law_y.sample(rng)
         u2 = float(rng.uniform())
         if not accept_log_ratio(law_x.log_density(w_y) - law_y.log_density(w_y), u2):
             return w_x, w_y, False
-    raise RuntimeError(f"maximal coupling rejection loop exceeded {max_tries} tries")
+    raise RuntimeError("maximal coupling rejection loop exceeded 100000 tries")
 
 
 def _increment_proposals(kind, x, y, h, target_x, target_y, rng: RngStream):

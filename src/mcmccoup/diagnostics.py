@@ -8,16 +8,15 @@ driven toward two different targets, and the closed-form lower bound for
 Gaussian laws used to sanity check the empirical ones.
 
 Meetings are exact events (bit-identical positions), so meeting times are
-well defined integers.  Replicates are keyed by (seed, replicate index)
-and are reproducible individually, which keeps aggregation deterministic
-no matter how the replicates are scheduled.
+well defined integers.  Replicates are keyed by (seed, replicate index),
+so each is reproducible on its own and they run one after another in
+index order.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
@@ -102,18 +101,6 @@ class BoundCurve:
             raise ValueError("interval must contain the estimate")
 
 
-def _map_replicates(fn: Callable[[int], object], n: int, threads: int) -> list:
-    """[fn(0), ..., fn(n - 1)], computed on a pool of `threads` workers.
-
-    Replicates draw from streams keyed by their index, so the list is the
-    same for every pool size.
-    """
-    if threads == 1 or n == 1:
-        return [fn(r) for r in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n)))
-
-
 def run_replicates(
     step: Callable[[CoupledChainState, RngStream], CoupledChainState],
     init: Callable[[RngStream], np.ndarray],
@@ -122,8 +109,6 @@ def run_replicates(
     max_iter: int,
     seed: int,
     store_trace: bool = True,
-    thin: int = 1,
-    threads: int = 1,
 ) -> Tuple[List[MeetingRecord], List[np.ndarray]]:
     """Run lag-L meeting replicates and collect times and distance traces.
 
@@ -132,14 +117,11 @@ def run_replicates(
     the step closure on a met state, which every coupling here advances as
     a single chain), then step the pair jointly until it meets exactly or
     `max_iter` joint steps have been spent.  Running out of budget caps
-    the replicate; that is flagged, not fatal.
-
-    Replicates are independent given their stream ids, so threads > 1 may
-    run them on a worker pool; outputs are ordered by replicate index and
-    identical whatever the pool size.
+    the replicate; that is flagged, not fatal.  Replicates r = 0, ..., n - 1
+    run in that order.
 
     Returns (records, traces) where traces[r] holds the squared distance
-    ||X_{u+lag} - Y_u||^2 at joint steps u = 0, thin, 2 thin, ... strictly
+    ||X_{u+lag} - Y_u||^2 at every joint step u = 0, 1, 2, ... strictly
     before the meeting (so every stored entry is positive, and the trace
     is empty when store_trace is False).
     """
@@ -149,12 +131,10 @@ def run_replicates(
         raise ValueError("need at least one replicate")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if thin < 1:
-        raise ValueError("thin must be at least 1")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
 
-    def one(r: int) -> Tuple[MeetingRecord, np.ndarray]:
+    records: List[MeetingRecord] = []
+    traces: List[np.ndarray] = []
+    for r in range(n_replicates):
         rng = RngStream(seed, r)
         x0 = np.asarray(init(rng), dtype=float)
         y0 = np.asarray(init(rng), dtype=float)
@@ -178,15 +158,11 @@ def run_replicates(
                 tau = lag + u
                 capped = False
                 break
-            if store_trace and u % thin == 0:
+            if store_trace:
                 gap = state.x - state.y
                 trace.append(float(np.dot(gap, gap)))
-        record = MeetingRecord(replicate=r, tau=tau, lag=lag, capped=capped)
-        return record, np.asarray(trace, dtype=float)
-
-    results = _map_replicates(one, n_replicates, threads)
-    records = [rec for rec, _ in results]
-    traces = [tr for _, tr in results]
+        records.append(MeetingRecord(replicate=r, tau=tau, lag=lag, capped=capped))
+        traces.append(np.asarray(trace, dtype=float))
     return records, traces
 
 
@@ -246,28 +222,21 @@ def tv_bound_curve(records: Sequence[MeetingRecord], t_grid) -> BoundCurve:
     )
 
 
-def _trace_value(trace: np.ndarray, u: int, thin: int, met_at: float) -> float:
+def _trace_value(trace: np.ndarray, u: int, met_at: float) -> float:
     """Squared distance at joint step u, zero once the pair has met."""
     if u >= met_at:
         return 0.0
-    if u % thin != 0:
+    if u >= trace.size:
         raise ValueError(
-            "trace thinning does not cover the offsets the estimator needs"
+            "distance traces were not stored; rerun the replicates with store_trace=True"
         )
-    idx = u // thin
-    if idx >= trace.size:
-        raise ValueError(
-            "distance traces were not stored densely enough; rerun the "
-            "replicates with store_trace=True and a compatible thin"
-        )
-    return float(trace[idx])
+    return float(trace[u])
 
 
 def w2_bound_curve(
     records: Sequence[MeetingRecord],
     traces: Sequence[np.ndarray],
     t_grid,
-    thin: int = 1,
 ) -> BoundCurve:
     """Squared Wasserstein-2 bound curve from distance traces.
 
@@ -308,7 +277,7 @@ def w2_bound_curve(
         for i, r in enumerate(kept_idx):
             for j in range(n_terms):
                 u = t + j * lag
-                mat[i, j] = _trace_value(traces[r], u, thin, met_at[r])
+                mat[i, j] = _trace_value(traces[r], u, met_at[r])
         est[j_t] = float(np.sum(np.sqrt(mat.mean(axis=0))) ** 2)
         boot_means = mat[resamples].mean(axis=1)
         boot_vals = np.sum(np.sqrt(np.maximum(boot_means, 0.0)), axis=1) ** 2

@@ -35,7 +35,6 @@ from .couplings import (
     reflection_maximal_pair,
 )
 from .diagnostics import (
-    _map_replicates,
     _psd_eigh,
     gelbrich_bound,
     run_replicates,
@@ -106,7 +105,6 @@ class ExperimentConfig:
     seed: int
     scale: str = "desk"
     out: str = "results"
-    threads: int = 1
     d: Optional[int] = None
     l: Optional[float] = None
     h: Optional[float] = None
@@ -204,7 +202,6 @@ _FIELD_PARSERS = {
     "seed": _parse_int,
     "scale": str,
     "out": str,
-    "threads": _parse_int,
     "d": _parse_int,
     "l": float,
     "h": float,
@@ -233,14 +230,21 @@ def make_config(data: Dict) -> ExperimentConfig:
     cleaned = {}
     for key, value in data.items():
         key = str(key).strip().replace("-", "_")
-        if key not in _FIELD_PARSERS:
+        # retired: replicates run in index order, but older configs and
+        # manifests still carry a worker count; it is checked, then dropped
+        retired = key == "threads"
+        if key not in _FIELD_PARSERS and not retired:
             raise ConfigError(key, "unknown configuration field")
         if value is None:
             continue
         try:
-            cleaned[key] = _FIELD_PARSERS[key](value)
+            parsed = _parse_int(value) if retired else _FIELD_PARSERS[key](value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(key, f"cannot parse value {value!r} ({exc})") from None
+        if not retired:
+            cleaned[key] = parsed
+        elif parsed < 1:
+            raise ConfigError(key, "must be a positive integer")
     if "experiment" not in cleaned:
         raise ConfigError("experiment", "an experiment name is required")
     if "seed" not in cleaned:
@@ -486,15 +490,16 @@ def _rwm_step(cspec: CouplingSpec, h: float, target):
     return step
 
 
-def _gap_traces(step, start, n_steps: int, n_replicates: int, seed: int, threads: int):
+def _gap_traces(step, start, n_steps: int, n_replicates: int, seed: int):
     """Squared gaps ||X_t - Y_t||^2, t = 0..n_steps, one array per replicate.
 
     Replicate r draws its starting pair start(rng) and then its steps from
-    RngStream(seed, r).  Callers normalise; whether they divide before or
-    after averaging replicates sets the last bits of their outputs.
+    RngStream(seed, r); replicates run in index order.  Callers normalise;
+    whether they divide before or after averaging replicates sets the last
+    bits of their outputs.
     """
-
-    def one(r):
+    traces = []
+    for r in range(n_replicates):
         rng = RngStream(seed, r)
         x, y = start(rng)
         state = CoupledChainState(x=x, y=y)
@@ -505,16 +510,14 @@ def _gap_traces(step, start, n_steps: int, n_replicates: int, seed: int, threads
             state = step(state, rng)
             gap = state.x - state.y
             out[t + 1] = float(np.dot(gap, gap))
-        return out
-
-    return _map_replicates(one, n_replicates, threads)
+        traces.append(out)
+    return traces
 
 
 def _meeting_records(cfg: ExperimentConfig, step, init, n_replicates=None, store_trace=True):
     return run_replicates(
         step, init, lag=cfg.lag, n_replicates=n_replicates or cfg.replicates,
         max_iter=cfg.max_iter, seed=cfg.seed, store_trace=store_trace,
-        threads=cfg.threads,
     )
 
 
@@ -605,7 +608,7 @@ def _run_mcmc_vs_ode(cfg: ExperimentConfig, rundir: _RunDir) -> None:
                 traj = integrate_w((x0, y0, v0), l, kind, cfg.t_end, dt=cfg.dt)
                 traces = _gap_traces(
                     _rwm_step(CouplingSpec(kind), h, target), start, n_steps,
-                    cfg.replicates, cfg.seed, cfg.threads,
+                    cfg.replicates, cfg.seed,
                 )
                 s_mcmc = np.mean([tr / d for tr in traces], axis=0)
                 t_scaled = np.arange(n_steps + 1) / d
@@ -672,7 +675,7 @@ def _run_mcmc_elliptical(cfg: ExperimentConfig, rundir: _RunDir) -> None:
             n_steps = cfg.n_steps if cfg.n_steps is not None else int(round(t_end * d))
             traces = _gap_traces(
                 _rwm_step(CouplingSpec(kind), h, target), start, n_steps,
-                cfg.replicates, cfg.seed, cfg.threads,
+                cfg.replicates, cfg.seed,
             )
             s_trace = np.mean(traces, axis=0) / (d * zm1_sq)
             tail = s_trace[-max(1, n_steps // 4):]
@@ -735,7 +738,7 @@ def _run_svm_bias(cfg: ExperimentConfig, rundir: _RunDir) -> None:
         def step(state, rng):
             return cross_target_coupled_step(state, h, post, surrogate, kind, rng)
 
-        traces = _gap_traces(step, start, cfg.n_steps, cfg.replicates, cfg.seed, cfg.threads)
+        traces = _gap_traces(step, start, cfg.n_steps, cfg.replicates, cfg.seed)
         est, (lo, hi) = stationary_bias_bound([tr[1:] for tr in traces], burn_in)
         rows.append([kind, est, lo, hi])
     _write_csv(rundir.path("bias.csv"), ["kind", "estimate", "ci_low", "ci_high"], rows)

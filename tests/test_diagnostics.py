@@ -89,29 +89,12 @@ def test_replicates_are_keyed_by_stream_id():
     assert [r.tau for r in rec_c] != [r.tau for r in rec_a]
 
 
-def test_replicates_identical_under_worker_pool():
-    step, init = _two_scale_runner(d=10)
-    rec_1, tr_1 = run_replicates(step, init, lag=20, n_replicates=6, max_iter=5000, seed=42)
-    rec_3, tr_3 = run_replicates(
-        step, init, lag=20, n_replicates=6, max_iter=5000, seed=42, threads=3
-    )
-    assert [r.tau for r in rec_1] == [r.tau for r in rec_3]
-    assert [r.replicate for r in rec_3] == list(range(6))
-    for a, b in zip(tr_1, tr_3):
-        assert np.array_equal(a, b)
-
-
 def test_trace_layout_and_thinning():
     step, init = _two_scale_runner(d=10)
     records, dense = run_replicates(step, init, lag=20, n_replicates=3, max_iter=5000, seed=11)
     for rec, trace in zip(records, dense):
         assert trace.size == rec.tau - rec.lag
         assert np.all(trace > 0.0)
-    _, thinned = run_replicates(
-        step, init, lag=20, n_replicates=3, max_iter=5000, seed=11, thin=3
-    )
-    for full, thin in zip(dense, thinned):
-        assert np.array_equal(thin, full[::3])
     _, empty = run_replicates(
         step, init, lag=20, n_replicates=2, max_iter=5000, seed=11, store_trace=False
     )
@@ -126,8 +109,6 @@ def test_run_replicates_validation():
         run_replicates(step, init, lag=1, n_replicates=0, max_iter=10, seed=0)
     with pytest.raises(ValueError):
         run_replicates(step, init, lag=1, n_replicates=1, max_iter=0, seed=0)
-    with pytest.raises(ValueError):
-        run_replicates(step, init, lag=1, n_replicates=1, max_iter=10, seed=0, thin=0)
 
 
 def test_tv_curve_arithmetic():
@@ -223,11 +204,6 @@ def test_w2_storage_errors():
     )
     with pytest.raises(ValueError, match="stored"):
         w2_bound_curve(records, none, [0])
-    records, thinned = run_replicates(
-        step, init, lag=10, n_replicates=2, max_iter=5000, seed=3, thin=2
-    )
-    with pytest.raises(ValueError, match="thinning"):
-        w2_bound_curve(records, thinned, [1], thin=2)
     dense_records, dense = run_replicates(
         step, init, lag=10, n_replicates=2, max_iter=5000, seed=3
     )

@@ -1,11 +1,13 @@
 import dataclasses
 import json
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mcmccoup.cli import main
+from mcmccoup.cli import build_parser, main
 from mcmccoup.core_math import RngStream
 from mcmccoup.experiments import (
     ConfigError,
@@ -84,10 +86,17 @@ def test_config_file_formats(tmp_path):
     assert cfg.delta_grid == (0.1, 0.2)
     assert cfg.starts == ((1.0, 1.0, 0.0), (0.5, 0.5, 0.2))
 
+    # threads is retired: still accepted once checked, but not a config field
     js = tmp_path / "run.json"
     js.write_text(json.dumps({"experiment": "validate", "seed": 3, "threads": 2}))
     cfg = make_config(parse_config_file(str(js)))
-    assert cfg.threads == 2
+    assert cfg == make_config({"experiment": "validate", "seed": 3})
+    assert "threads" not in _FIELD_PARSERS
+    assert not hasattr(cfg, "threads")
+    for bad_threads in ("abc", 0, True):
+        with pytest.raises(ConfigError) as err:
+            make_config({"experiment": "validate", "seed": 3, "threads": bad_threads})
+        assert err.value.field == "threads"
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("seed 7\n")
@@ -188,10 +197,23 @@ def test_threads_do_not_change_results(tmp_path):
     }
     run_experiment(make_config({**base, "out": str(tmp_path / "a"), "threads": 1}))
     run_experiment(make_config({**base, "out": str(tmp_path / "b"), "threads": 3}))
-    for name in ("summary.csv", "trace_two-eig-4_crn.csv"):
+    argv = ["mcmc-elliptical", "--out", str(tmp_path / "c"), "--threads", "4"]
+    for key, value in base.items():
+        if key != "experiment":
+            argv += ["--set", f"{key}={value}"]
+    assert main(argv) == 0
+    # a manifest written while threads was a config field replays unchanged
+    manifest = json.loads((tmp_path / "a" / "mcmc-elliptical" / "manifest.json").read_text())
+    manifest["config"]["threads"] = 3
+    old = tmp_path / "old_manifest.json"
+    old.write_text(json.dumps(manifest))
+    assert main(["mcmc-elliptical", "--config", str(old), "--out", str(tmp_path / "d")]) == 0
+    names = sorted(p.name for p in (tmp_path / "a" / "mcmc-elliptical").glob("*.csv"))
+    assert "summary.csv" in names and "trace_two-eig-4_crn.csv" in names
+    for name in names:
         a = (tmp_path / "a" / "mcmc-elliptical" / name).read_bytes()
-        b = (tmp_path / "b" / "mcmc-elliptical" / name).read_bytes()
-        assert a == b
+        for run in "bcd":
+            assert (tmp_path / run / "mcmc-elliptical" / name).read_bytes() == a, (run, name)
 
 
 def test_manifest_replay_reproduces_csvs(tmp_path):
@@ -289,6 +311,24 @@ def test_start_pair_matches_requested_moments():
     assert float(y @ y) / d == pytest.approx(0.5, abs=0.03)
     rho = float(x @ y) / (d * math.sqrt(1.5 * 0.5))
     assert rho == pytest.approx(-0.4, abs=0.03)
+
+
+def test_benchmark_workloads_resolve_and_parse(tmp_path):
+    # the benchmark builds its configs and command lines with these helpers;
+    # a config field or CLI change that breaks them fails here, not in a round
+    # (run_path compiles the file without writing bytecode beside it)
+    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    bench = runpy.run_path(str(workloads))
+    parser = build_parser()
+    out = str(tmp_path)
+    steps = [step for steps in bench["WORKLOADS"].values() for step in steps]
+    assert steps
+    for experiment, overrides in steps:
+        cfg = resolve(make_config(bench["config_mapping"](experiment, overrides, 1, out)))
+        assert cfg.experiment == experiment
+        args = parser.parse_args(bench["cli_argv"](experiment, overrides, 1, out))
+        assert args.experiment == experiment and args.seed == 1
+        assert len(args.overrides) == len(overrides)
 
 
 def test_experiment_registry_is_complete():

@@ -17,10 +17,6 @@ from mcmccoup.targets import (
     SvmParams,
     SvmPosterior,
     laplace_fit,
-    load_gaussian,
-    load_svm_data,
-    save_gaussian,
-    save_svm_data,
     spectral_summary,
     svm_simulate,
 )
@@ -226,42 +222,18 @@ def test_laplace_fit_svm_matches_reference_optimizer():
 @pytest.mark.parametrize("d", [10, 50])
 @pytest.mark.parametrize("seed", [46200, 2, 3])
 def test_laplace_fit_default_tol_finishes_with_newton_steps(d, seed):
-    # the backtracking ascent stalls at sup |grad| 4e-8 to 9.5e-8 on these
-    # data sets, where the Armijo test on f cannot resolve further progress
+    # on these data sets the backtracking ascent gets no lower than sup |grad|
+    # 3e-8 to 7.6e-8, where the Armijo test on f cannot resolve progress; the
+    # stall, not max_iter, hands over to the Newton steps
     _, y = svm_simulate(d, DEFAULT_SVM_PARAMS, RngStream(seed, 10**6 + 1))
     model = SvmPosterior(y)
     fit = laplace_fit(model, np.zeros(d))
     assert fit.grad_sup <= 1e-8
     assert float(np.max(np.abs(model.grad(fit.mean)))) == fit.grad_sup
-    assert 20_000 < fit.iterations <= 20_003
+    assert fit.iterations < 1_000
     coarse = laplace_fit(model, np.zeros(d), tol=1e-6)
     assert np.max(np.abs(fit.mean - coarse.mean)) < 1e-4
     assert np.all(np.linalg.eigvalsh(fit.cov) > 0)
-
-
-def test_file_format_round_trips(tmp_path):
-    rng = RngStream(31, 0)
-    _, y = svm_simulate(20, DEFAULT_SVM_PARAMS, rng)
-    p = tmp_path / "obs.csv"
-    save_svm_data(p, y)
-    np.testing.assert_array_equal(load_svm_data(p), y)
-
-    mean = rng.standard_normal(4)
-    a = rng.standard_normal((4, 4))
-    cov = a @ a.T + 4 * np.eye(4)
-    for name in ("fit.json", "fit.csv"):
-        path = tmp_path / name
-        save_gaussian(path, mean, cov)
-        loaded = load_gaussian(path)
-        np.testing.assert_array_equal(loaded.mean, mean)
-        np.testing.assert_array_equal(loaded.cov, 0.5 * (cov + cov.T))
-
-
-def test_load_svm_data_validates_header(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("time,value\n1,0.5\n")
-    with pytest.raises(ValueError):
-        load_svm_data(p)
 
 
 def test_target_validation_errors():
