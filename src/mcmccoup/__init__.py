@@ -14,6 +14,7 @@ __version__ = "0.1.0"
 from .core_math import (
     GaussianIntegrals,
     RngStream,
+    bvn,
     bvn_low,
     bvn_up,
     gaussian_integrals,
@@ -24,6 +25,7 @@ from .core_math import (
 __all__ = [
     "GaussianIntegrals",
     "RngStream",
+    "bvn",
     "bvn_low",
     "bvn_up",
     "gaussian_integrals",

@@ -1,9 +1,10 @@
-"""Scalar Gaussian building blocks shared across the package.
+"""Gaussian building blocks shared across the package.
 
 Standard normal CDF/quantile wrappers, bivariate normal rectangle
-probabilities to near machine precision, the two closed-form Gaussian
-acceptance integrals that drive every dimensional limit in this package,
-and counter-based random streams for reproducible sampling.
+probabilities to near machine precision (over arrays, with scalar batches
+of one), the two closed-form Gaussian acceptance integrals that drive every
+dimensional limit in this package, and counter-based random streams for
+reproducible sampling.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ __all__ = [
     "std_normal_cdf",
     "std_normal_quantile",
     "exp_times_cdf",
+    "bvn",
+    "bvn_columns",
     "bvn_low",
     "bvn_up",
     "GaussianIntegrals",
@@ -57,123 +60,155 @@ def exp_times_cdf(c: float, u: float) -> float:
 #
 # Single-integral reduction (Drezner & Wesolowsky's theta integral for
 # moderate correlation, Genz's transformed tail integral for |rho| >= 0.925)
-# with fixed-order Gauss-Legendre quadrature.  Absolute error is below 5e-16
-# across the parameter space, which the test suite verifies against a
-# high-precision quadrature oracle.
+# with one 20-node Gauss-Legendre rule in both branches.  `bvn_columns`
+# sorts the columns (h, k, r) of a (3, n) array into the two branches and
+# the closed forms at the edges; each branch is elementwise array
+# arithmetic over its columns, so a column's value is the same whatever
+# the batch around it.  Absolute error is below 5e-16 across the parameter
+# space, which the test suite verifies against a high-precision quadrature
+# oracle.
+
+# the 20-node Gauss-Legendre rule on (-1, 1); _GL_X1 holds its nodes shifted
+# to (0, 2), _GL_HALF_X1 half of that
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
+_GL_X1 = _GL_X + 1.0
+_GL_HALF_X1 = 0.5 * _GL_X1
+_GL_W_4PI = _GL_W / (2.0 * _TWO_PI)
+_TAIL_R = 0.925
+_SQRT_TWO_PI = math.sqrt(_TWO_PI)
+# up to this many tail columns go one by one on numpy scalars, which costs
+# less than array arithmetic on a masked 1- or 2-element array: a batch of
+# one g near coalescence has one tail rectangle of its three (the timings
+# that keep this path are in BENCH_7.json, "fast_paths")
+_FEW_TAIL_COLUMNS = 2
 
 
-def _gl_half(n: int):
-    # positive half of the order-n Gauss-Legendre rule on (-1, 1)
-    x, w = np.polynomial.legendre.leggauss(n)
-    keep = x > 0
-    return x[keep], w[keep]
+def _bvn_edge(hkr):
+    # infinite limits and r = +-1, where the quadratures do not apply
+    h, k, r = hkr
+    p = np.where(r == 1.0, ndtr(-np.maximum(h, k)), np.maximum(ndtr(-h) + ndtr(-k) - 1.0, 0.0))
+    p = np.where(h == -math.inf, ndtr(-k), np.where(k == -math.inf, ndtr(-h), p))
+    return np.where((h == math.inf) | (k == math.inf), 0.0, p)
 
 
-_GL_RULES = {6: _gl_half(6), 12: _gl_half(12), 20: _gl_half(20)}
+def _bvn_moderate(hkr):
+    # Drezner & Wesolowsky's theta integral over (0, asin r), |r| < 0.925
+    h, k, r = hkr
+    asr = np.arcsin(r)
+    sn = np.sin(asr[..., None] * _GL_HALF_X1)
+    hk = (h * k)[..., None]
+    hs = (0.5 * (h * h + k * k))[..., None]
+    terms = _GL_W_4PI * np.exp((sn * hk - hs) / (1.0 - sn * sn))
+    phi = ndtr(-hkr[:2])
+    return terms.sum(axis=-1) * asr + phi[0] * phi[1]
 
 
-def _bvn_upper(dh: float, dk: float, r: float) -> float:
-    """P(X > dh, Y > dk) for a standard bivariate normal pair, Corr = r."""
-    if dh == math.inf or dk == math.inf:
-        return 0.0
-    if dh == -math.inf:
-        return 1.0 if dk == -math.inf else float(ndtr(-dk))
-    if dk == -math.inf:
-        return float(ndtr(-dh))
-    if r == 0.0:
-        return float(ndtr(-dh) * ndtr(-dk))
-    if r == 1.0:
-        return float(ndtr(-max(dh, dk)))
-    if r == -1.0:
-        return max(0.0, float(ndtr(-dh)) + float(ndtr(-dk)) - 1.0)
-
-    if abs(r) < 0.3:
-        xh, wh = _GL_RULES[6]
-    elif abs(r) < 0.75:
-        xh, wh = _GL_RULES[12]
-    else:
-        xh, wh = _GL_RULES[20]
-
-    h, k = float(dh), float(dk)
+def _bvn_tail(hkr):
+    # Genz's transformed tail integral, 0.925 <= |r| < 1; r < 0 reflects k.
+    # Over (3, n) columns or one (3,) column.
+    h, k, r = hkr
+    sign = np.sign(r)
+    k = sign * k
     hk = h * k
-
-    if abs(r) < 0.925:
-        hs = 0.5 * (h * h + k * k)
-        asr = 0.5 * math.asin(r)
-        total = 0.0
-        for sign in (-1.0, 1.0):
-            sn = np.sin(asr * (1.0 + sign * xh))
-            total += float(np.sum(wh * np.exp((sn * hk - hs) / (1.0 - sn * sn))))
-        p = total * asr / _TWO_PI + float(ndtr(-h) * ndtr(-k))
-        return min(1.0, max(0.0, p))
-
-    # tail-transformed branch, 0.925 <= |r| < 1
-    if r < 0.0:
-        k = -k
-        hk = -hk
+    hh = 0.5 * hk
     a_sq = (1.0 - r) * (1.0 + r)
-    a = math.sqrt(a_sq)
-    bs = (h - k) ** 2
-    c = (4.0 - hk) / 8.0
-    d = (12.0 - hk) / 16.0
-    asr0 = -0.5 * (bs / a_sq + hk)
-    bvn = 0.0
-    if asr0 > -100.0:
-        bvn = a * math.exp(asr0) * (
-            1.0 - c * (bs - a_sq) * (1.0 - d * bs / 5.0) / 3.0
-            + c * d * a_sq * a_sq / 5.0
-        )
-    if -hk < 100.0:
-        b = math.sqrt(bs)
-        bvn -= (
-            math.exp(-0.5 * hk)
-            * math.sqrt(_TWO_PI)
-            * float(ndtr(-b / a))
-            * b
-            * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0)
-        )
-    a_half = 0.5 * a
-    for sign in (-1.0, 1.0):
-        for xi, wi in zip(xh, wh):
-            xs = (a_half * (sign * xi + 1.0)) ** 2
-            rs = math.sqrt(1.0 - xs)
-            asr1 = -0.5 * (bs / xs + hk)
-            if asr1 > -100.0:
-                bvn += (
-                    a_half
-                    * wi
-                    * math.exp(asr1)
-                    * (
-                        math.exp(-hk * xs / (2.0 * (1.0 + rs) ** 2)) / rs
-                        - (1.0 + c * xs * (1.0 + d * xs))
-                    )
-                )
-    bvn = -bvn / _TWO_PI
-    if r > 0.0:
-        bvn += float(ndtr(-max(h, k)))
+    a = np.sqrt(a_sq)
+    bs = (h - k) * (h - k)
+    b = np.sqrt(bs)
+    c = 0.5 - 0.125 * hk
+    d = 0.75 - 0.0625 * hk
+    ct = c * (1.0 - 0.2 * d * bs) / 3.0
+    bvn = a * np.exp(-(0.5 * bs / a_sq + hh)) * (1.0 - ct * (bs - a_sq) + 0.2 * c * d * a_sq * a_sq)
+    bvn -= np.exp(log_ndtr(-b / a) - hh) * _SQRT_TWO_PI * b * (1.0 - ct * bs)
+    # the node terms, written so that no factor can overflow
+    a_half = (0.5 * a)[..., None]
+    c, d, hh, bs = c[..., None], d[..., None], hh[..., None], bs[..., None]
+    xs = a_half * _GL_X1
+    xs = xs * xs
+    rs = np.sqrt(1.0 - xs)
+    asr = -(0.5 * bs / xs + hh)
+    terms = (a_half * _GL_W) * (
+        np.exp(asr - hh * xs / ((1.0 + rs) * (1.0 + rs))) / rs
+        - np.exp(asr) * (1.0 + c * xs * (1.0 + d * xs))
+    )
+    bvn = (bvn + terms.sum(axis=-1)) / -_TWO_PI
+    neg = sign < 0.0
+    n_neg = np.count_nonzero(neg)
+    if n_neg == 0:
+        return bvn + ndtr(-np.maximum(h, k))
+    # r < 0: the integral above was for (h, -k); reflect back
+    down = np.maximum(ndtr(k) - ndtr(h), 0.0) - bvn
+    if n_neg == np.size(r):
+        return down
+    return np.where(neg, down, bvn + ndtr(-np.maximum(h, k)))
+
+
+def bvn_columns(hkr: np.ndarray) -> np.ndarray:
+    """P(X > h, Y > k) for standard bivariate normal pairs with Corr = r,
+    elementwise over the columns (h, k, r) of a (3, n) float array, n >= 1.
+
+    Unchecked: h and k must be finite and |r| <= 1.  The array core of
+    `bvn`, for callers that build the columns themselves.
+    """
+    ar = np.abs(hkr[2])
+    top = ar.max()
+    if top < _TAIL_R:
+        # the common case, every column in one branch: no masks
+        p = _bvn_moderate(hkr)
     else:
-        bvn = -bvn
-        if k > h:
-            bvn += float(ndtr(k) - ndtr(h))
-    return min(1.0, max(0.0, bvn))
+        p = np.empty(ar.size)
+        tail = ar >= _TAIL_R
+        if not tail.all():
+            p[~tail] = _bvn_moderate(hkr[:, ~tail])
+        if top == 1.0:
+            edge = ar == 1.0
+            p[edge] = _bvn_edge(hkr[:, edge])
+            tail &= ~edge
+        if np.count_nonzero(tail) > _FEW_TAIL_COLUMNS:
+            p[tail] = _bvn_tail(hkr[:, tail])
+        else:
+            for i in np.flatnonzero(tail):
+                p[i] = _bvn_tail(hkr[:, i])
+    return np.minimum(1.0, np.maximum(0.0, p))
+
+
+def bvn(h, k, r) -> np.ndarray:
+    """P(X > h, Y > k) for standard bivariate normal pairs with correlation r,
+    elementwise over equal-shape arrays.
+
+    Infinite limits are allowed, NaN limits raise; r = -1, 0, 1 take exact
+    closed forms or their quadrature limits.  Each element's value is the
+    same whatever the batch around it.  bvn_low(a, b, r) is bvn(-a, -b, r).
+    """
+    try:
+        hkr = np.array((h, k, r), dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"bvn needs equal shapes: {exc}") from None
+    shape = hkr.shape[1:]
+    hkr = hkr.reshape(3, -1)
+    valid = np.abs(hkr[2]) <= 1.0
+    if not valid.all():
+        raise ValueError(f"correlation must lie in [-1, 1], got {hkr[2][~valid]}")
+    if np.isnan(hkr[:2]).any():
+        raise ValueError("bvn limits must not be NaN")
+    finite = np.isfinite(hkr[:2]).all(axis=0)
+    p = np.empty(finite.shape)
+    if finite.any():
+        p[finite] = bvn_columns(hkr[:, finite])
+    if not finite.all():
+        p[~finite] = _bvn_edge(hkr[:, ~finite])
+    return p.reshape(shape)
 
 
 def bvn_low(a: float, b: float, rho: float) -> float:
-    """P(X <= a, Y <= b) for standard bivariate normal with correlation rho.
-
-    Exact closed forms at rho in {-1, 0, 1}; elsewhere the fixed-order
-    quadrature reduction.  Infinite limits are allowed.
-    """
-    if math.isnan(rho) or abs(rho) > 1.0:
-        raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
-    return _bvn_upper(-float(a), -float(b), float(rho))
+    """P(X <= a, Y <= b) for standard bivariate normal with correlation rho,
+    as a batch of one through `bvn`.  Infinite limits are allowed."""
+    return float(bvn(-float(a), -float(b), rho))
 
 
 def bvn_up(a: float, b: float, rho: float) -> float:
-    """P(X > a, Y > b) = bvn_low(-a, -b, rho)."""
-    if math.isnan(rho) or abs(rho) > 1.0:
-        raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
-    return _bvn_upper(float(a), float(b), float(rho))
+    """P(X > a, Y > b) = bvn_low(-a, -b, rho), as a batch of one through `bvn`."""
+    return float(bvn(float(a), float(b), rho))
 
 
 # ---------------------------------------------------------------------------

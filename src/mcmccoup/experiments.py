@@ -44,7 +44,7 @@ from .diagnostics import (
 )
 from .fixed_points import h_rho, solve_fixed_point, sweep_asymptotes
 from .kernels import AnisotropicGaussian, HopParams, HugParams, hug_proposal, rwm_step
-from .ode_limits import drift_c, g_value, integrate_w, OdeState
+from .ode_limits import drift_c, g_value, integrate_rows, integrate_w, OdeState
 from .targets import (
     Ar1Gaussian,
     DiagonalGaussian,
@@ -569,15 +569,25 @@ def _write_threshold_sweep(cfg: ExperimentConfig, rundir: _RunDir, records_at) -
 # Experiments.
 
 
+def _ode_rows(cfg: ExperimentConfig, kinds) -> list:
+    """(w0, l, kind) for every start, step parameter and kind, in that nesting."""
+    return [
+        ((x0, y0, rho0 * math.sqrt(x0 * y0)), l, kind)
+        for x0, y0, rho0 in cfg.starts
+        for l in cfg.l_grid
+        for kind in kinds
+    ]
+
+
 def _run_ode_spherical(cfg: ExperimentConfig, rundir: _RunDir) -> None:
     """ODE trajectories for every start, step parameter, and curve kind."""
     kinds = tuple(cfg.couplings) + ("optimal",)
+    trajs = iter(integrate_rows(_ode_rows(cfg, kinds), cfg.t_end, dt=cfg.dt))
     summary = []
     for s_idx, (x0, y0, rho0) in enumerate(cfg.starts):
-        v0 = rho0 * math.sqrt(x0 * y0)
         for l in cfg.l_grid:
             for kind in kinds:
-                traj = integrate_w((x0, y0, v0), l, kind, cfg.t_end, dt=cfg.dt)
+                traj = next(trajs)
                 name = f"traj_s{s_idx}_l{_l_tag(l)}_{kind}.csv"
                 _write_csv(rundir.path(name), traj._fields, zip(*traj))
                 summary.append(
@@ -594,9 +604,9 @@ def _run_mcmc_vs_ode(cfg: ExperimentConfig, rundir: _RunDir) -> None:
     """Coupled RWM traces against the deterministic limit for each start."""
     d = cfg.d
     target = SphericalGaussian(d)
+    trajs = iter(integrate_rows(_ode_rows(cfg, cfg.couplings), cfg.t_end, dt=cfg.dt))
     summary = []
     for s_idx, (x0, y0, rho0) in enumerate(cfg.starts):
-        v0 = rho0 * math.sqrt(x0 * y0)
 
         def start(rng):
             return _start_pair(x0, y0, rho0, d, rng)
@@ -605,7 +615,7 @@ def _run_mcmc_vs_ode(cfg: ExperimentConfig, rundir: _RunDir) -> None:
             h = l / math.sqrt(d)
             n_steps = int(round(cfg.t_end * d))
             for kind in cfg.couplings:
-                traj = integrate_w((x0, y0, v0), l, kind, cfg.t_end, dt=cfg.dt)
+                traj = next(trajs)
                 traces = _gap_traces(
                     _rwm_step(CouplingSpec(kind), h, target), start, n_steps,
                     cfg.replicates, cfg.seed,

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from scipy.special import ndtr
 
-from .core_math import bvn_low
+from .core_math import bvn
 
 __all__ = [
     "FixedPointResult",
@@ -39,14 +39,16 @@ def h_rho(rho: float, l: float) -> float:
     """Joint acceptance expectation E[1 ^ e^{-lZ1-l^2/2} ^ e^{-lZ2-l^2/2}]
     for standard normal (Z1, Z2) with correlation rho.
 
-    Evaluated as two bivariate normal rectangles; h(1; l) = 2 Phi(-l/2).
+    Evaluated as two bivariate normal rectangles in one `bvn` call;
+    h(1; l) = 2 Phi(-l/2).
     """
     if not -1.0 <= rho <= 1.0 or math.isnan(rho):
         raise ValueError("rho must lie in [-1, 1]")
     if l <= 0:
         raise ValueError("l must be positive")
     r = math.sqrt(0.5 * (1.0 - rho))
-    return bvn_low(-0.5 * l, -0.5 * l, rho) + 2.0 * bvn_low(-0.5 * l, -l * r, r)
+    p = bvn((0.5 * l, 0.5 * l), (0.5 * l, l * r), (rho, r))
+    return float(p[0] + 2.0 * p[1])
 
 
 @dataclass(frozen=True)

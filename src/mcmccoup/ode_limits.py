@@ -3,15 +3,18 @@
 With step size h = l d^{-1/2} and a Gaussian target, the scaled summary
 W = (||X||^2, ||Y||^2, X'Y)/d converges to the solution of a 3-D ODE
 w' = l^2 (a(x), a(y), b(x,y,v)) as d grows.  This module evaluates those
-drifts for each coupling, integrates the ODE (also in squared-distance
-form), and extends the construction to elliptical targets: the raw
-per-index infinitesimals of the expected changes in the Omega^k-weighted
-norms, and the closed six-component system for targets whose covariance
-has exactly two distinct eigenvalues of equal multiplicity.
+drifts for each coupling, integrates the ODE for a batch of trajectories
+at once (also in squared-distance form), and extends the construction to
+elliptical targets: the raw per-index infinitesimals of the expected
+changes in the Omega^k-weighted norms, and the closed six-component system
+for targets whose covariance has exactly two distinct eigenvalues of equal
+multiplicity.
 
 All acceptance expectations reduce to one-dimensional Gaussian integrals
 plus bivariate normal rectangle probabilities; everything is evaluated in
-log space so the exponential tilts cannot overflow.
+log space so the exponential tilts cannot overflow.  The drift code is
+elementwise array arithmetic over rows of states, so the scalar functions
+are batches of one of the same code and agree with any batch bit for bit.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
-from .core_math import bvn_low, bvn_up, exp_times_cdf, gaussian_integrals
+from .core_math import bvn_columns
 
 __all__ = [
     "OdeState",
@@ -33,6 +36,7 @@ __all__ = [
     "rho_limit",
     "g_value",
     "drift_c",
+    "integrate_rows",
     "integrate_w",
     "elliptical_infinitesimal",
     "two_eigenvalue_ode",
@@ -75,27 +79,45 @@ class TwoEigTrajectory(NamedTuple):
     s: np.ndarray
 
 
-def _q(x: float, l: float) -> float:
-    # q(x) = e^{l^2 (x-1)/2} Phi(l/(2 sqrt x) - l sqrt x), the tilted part of
-    # the limiting acceptance probability; q(1) = Phi(-l/2)
-    if x == 0.0:
-        return math.exp(-0.5 * l * l)
-    rx = math.sqrt(x)
-    return exp_times_cdf(0.5 * l * l * (x - 1.0), l / (2.0 * rx) - l * rx)
+def _row_constants(l):
+    # (l, l/2, l^2/2) for step parameters l: an array of rows, or one float
+    return l, 0.5 * l, 0.5 * l * l
 
 
+def _coordinate_terms(X, lc):
+    """Per-coordinate acceptance terms of scaled squared norms X >= 0.
+
+    X broadcasts against the `_row_constants` lc on its last axis.  Returns
+    sX = sqrt(X), lsX = l sX, R = l/(2 sX), U = R - l sX, c = l^2 (X - 1)/2,
+    P = Phi(-R) and Q = q(X) = e^c Phi(U), the tilted part of the limiting
+    acceptance probability P + Q (q(1) = Phi(-l/2)).  At X = 0, where R
+    divides by zero, P = 0 and Q = e^{-l^2/2}, the continuous limits.
+    """
+    l, half_l, hl2 = lc
+    sX = np.sqrt(X)
+    lsX = l * sX
+    R = half_l / sX
+    U = R - lsX
+    c = hl2 * (X - 1.0)
+    return sX, lsX, R, U, c, ndtr(-R), np.exp(c + log_ndtr(U))
+
+
+@np.errstate(divide="ignore")
 def accept_prob(x: float, l: float) -> float:
-    """Limiting acceptance probability given scaled squared norm x."""
+    """Limiting acceptance probability given scaled squared norm x.
+
+    At x = 0 every proposal from the mode costs exactly l^2/2 in log
+    density, so the probability is e^{-l^2/2}.
+    """
     if x < 0:
         raise ValueError("x must be nonnegative")
     if l <= 0:
         raise ValueError("l must be positive")
-    if x == 0.0:
-        # from the mode every proposal costs exactly l^2/2 in log density
-        return math.exp(-0.5 * l * l)
-    return float(ndtr(-l / (2.0 * math.sqrt(x)))) + _q(x, l)
+    *_, P, Q = _coordinate_terms(np.float64(x), _row_constants(float(l)))
+    return float(P + Q)
 
 
+@np.errstate(divide="ignore")
 def drift_a(x: float, l: float) -> float:
     """Drift of the scaled squared norm: (1-2x) q(x) + Phi(-l/(2 sqrt x)).
 
@@ -106,9 +128,25 @@ def drift_a(x: float, l: float) -> float:
         raise ValueError("l must be positive")
     if x < 0:
         raise ValueError("x must be nonnegative")
-    if x == 0.0:
-        return math.exp(-0.5 * l * l)
-    return (1.0 - 2.0 * x) * _q(x, l) + float(ndtr(-l / (2.0 * math.sqrt(x))))
+    x = np.float64(x)
+    *_, P, Q = _coordinate_terms(x, _row_constants(float(l)))
+    return float((1.0 - 2.0 * x) * Q + P)
+
+
+def _rho_rows(kind: str, w1, w0, wm1, eps):
+    # rho_limit elementwise over scalars or arrays with x_1, y_1 > 0
+    x_1, y_1, v_1 = w1
+    sxy = np.sqrt(x_1 * y_1)
+    rho = v_1 / sxy
+    if kind == "reflection":
+        x_0, y_0, v_0 = w0
+        x_m1, y_m1, v_m1 = wm1
+        denom = x_m1 + y_m1 - 2.0 * v_m1
+        # at the boundary x = y = v the tilt is 0/0: rho = 1 there
+        flat = denom <= 1e-14 * (x_m1 + y_m1)
+        denom = np.where(flat, 1.0, denom)
+        rho = np.where(flat, 1.0, rho + 2.0 * (x_0 - v_0) * (y_0 - v_0) / (eps * sxy * denom))
+    return np.minimum(1.0, np.maximum(-1.0, rho))
 
 
 def rho_limit(kind: str, w1, w0=None, wm1=None, eps: float = 1.0) -> float:
@@ -123,116 +161,277 @@ def rho_limit(kind: str, w1, w0=None, wm1=None, eps: float = 1.0) -> float:
     Convention rho = 1 when x_1 = 0 or y_1 = 0, and at the reflection
     boundary x = y = v where the expression is 0/0.
     """
-    x_1, y_1, v_1 = w1
+    x_1, y_1, _ = w1
     if kind == "gcrn":
         return 1.0
+    if kind not in ("crn", "reflection"):
+        raise ValueError(f"no projection correlation for kind {kind!r}")
     if x_1 < 0 or y_1 < 0:
         raise ValueError("state outside S: negative squared norm")
     if x_1 == 0.0 or y_1 == 0.0:
         return 1.0
-    rho = v_1 / math.sqrt(x_1 * y_1)
-    if kind == "reflection":
-        x_0, y_0, v_0 = w1 if w0 is None else w0
-        x_m1, y_m1, v_m1 = w1 if wm1 is None else wm1
-        denom = x_m1 + y_m1 - 2.0 * v_m1
-        if denom <= 1e-14 * (x_m1 + y_m1):
-            return 1.0
-        rho += 2.0 * (x_0 - v_0) * (y_0 - v_0) / (eps * math.sqrt(x_1 * y_1) * denom)
-    elif kind != "crn":
-        raise ValueError(f"no projection correlation for kind {kind!r}")
-    return min(1.0, max(-1.0, rho))
+    w0 = w1 if w0 is None else w0
+    wm1 = w1 if wm1 is None else wm1
+    return float(_rho_rows(kind, w1, w0, wm1, eps))
 
 
 _RHO_CROSSOVER = 1.0 - 1e-6
+_LEAST_POSITIVE = np.nextafter(0.0, 1.0)
 
 
-def _g_tilt_term(x: float, y: float, rho: float, l: float) -> float:
-    # E[e^{A_1}; A_1 < 0, A_1 <= A_2] with A_i = -l sqrt(.) Z_i - l^2/2,
-    # written as an exponentially tilted bivariate normal rectangle
-    b = -(math.sqrt(x / y) - rho) / math.sqrt(1.0 - rho * rho)
-    rb = math.sqrt(1.0 + b * b)
-    a = b * l * math.sqrt(x)
-    upper = l / (2.0 * math.sqrt(x)) - l * math.sqrt(x)
-    rect = bvn_low(a / rb, upper, -b / rb)
-    if rect <= 0.0:
-        return 0.0
-    return math.exp(0.5 * l * l * (x - 1.0) + math.log(rect))
+def _tail_exp(terms):
+    # E = e^c Phi(-l sqrt x) per coordinate
+    return np.exp(terms[4] + log_ndtr(-terms[1]))
 
 
-def g_value(x: float, y: float, rho: float, l: float) -> float:
-    """E[1 ^ e^{-l sqrt(x) Z1 - l^2/2} ^ e^{-l sqrt(y) Z2 - l^2/2}] for a
-    correlated standard normal pair (Z1, Z2) with correlation rho.
+def _g_aligned(E, P, Q):
+    # rho = 1: gaussian_integrals(sqrt x, sqrt y, l).second, which is
+    # P + Q - E at the smaller norm plus E at the larger (the other order's
+    # sum is never smaller); like it, raises where the value underflows
+    F = P + Q - E
+    g = np.minimum(np.minimum(F[0] + E[1], F[1] + E[0]), 1.0)
+    if not g.min() > 0.0:
+        raise ArithmeticError("acceptance integral underflowed to a nonpositive value")
+    return g
 
-    |rho| < 1 reduces to three bivariate normal rectangles; the aligned and
-    anti-aligned boundaries use one-dimensional closed forms (the reduction
-    divides by sqrt(1 - rho^2)).
+
+def _g_rectangles(rho, sX, lsX, R, U, c):
+    # |rho| < 1: P(both accept outright) plus, for each chain, the tilted
+    # rectangle E[e^{A_1}; A_1 < 0, A_1 <= A_2] with A_i = -l sqrt(.) Z_i -
+    # l^2/2; the three rectangles go through one bvn call
+    nb = (sX / sX[::-1] - rho) / np.sqrt(1.0 - rho * rho)
+    r_tilt = nb / np.sqrt(1.0 + nb * nb)
+    hkr = np.empty((3, 3) + rho.shape)  # (h, k, r) x (both, tilt x, tilt y)
+    hkr[0, 0], hkr[1, 0], hkr[2, 0] = R[0], R[1], rho
+    np.multiply(lsX, r_tilt, out=hkr[0, 1:])
+    np.negative(U, out=hkr[1, 1:])
+    hkr[2, 1:] = r_tilt
+    rect = bvn_columns(hkr.reshape(3, -1)).reshape(hkr.shape[1:])
+    tilt = np.exp(c + np.log(rect[1:]))
+    return rect[0] + tilt[0] + tilt[1]
+
+
+def _g_rows(rho, terms):
+    """g elementwise over rows with norms x, y > 0 and rho in [-1, 1], from
+    the rows' `_coordinate_terms` (x and y stacked on their first axis).
+    Rows are arrays, or numpy scalars for a single row.
+
+    |rho| < 1 - 1e-6 reduces to three bivariate normal rectangles; the
+    aligned and anti-aligned boundaries beyond use one-dimensional closed
+    forms (the reduction divides by sqrt(1 - rho^2)).  Rows all inside or
+    all aligned (a single row always is one or the other, or anti-aligned)
+    take that branch alone; a mixed batch is split by masks.
     """
+    sX, lsX, R, U, c, P, Q = terms
+    hi = rho >= _RHO_CROSSOVER
+    mid = ~hi & (rho > -_RHO_CROSSOVER)
+    if mid.all():
+        return _g_rectangles(rho, sX, lsX, R, U, c)
+    E = _tail_exp(terms)
+    if hi.all():
+        return _g_aligned(E, P, Q)
+    # the anti-aligned boundary Z2 = -Z1 splits the two exponentials at
+    # Z1 = 0, giving E(x) + E(y)
+    g = E[0] + E[1]
+    if hi.any():
+        g[hi] = _g_aligned(E[:, hi], P[:, hi], Q[:, hi])
+    if mid.any():
+        g[mid] = _g_rectangles(
+            rho[mid], sX[:, mid], lsX[:, mid], R[:, mid], U[:, mid], c[:, mid]
+        )
+    return g
+
+
+def _check_g_arguments(x: float, y: float, rho: float, l: float) -> float:
+    # g's domain; returns rho with rounding beyond [-1, 1] clipped off
     if x <= 0 or y <= 0:
         raise ValueError("x and y must be positive")
     if l <= 0:
         raise ValueError("l must be positive")
     if math.isnan(rho) or abs(rho) > 1.0 + 1e-12:
         raise ValueError("rho must lie in [-1, 1]")
-    rho = min(1.0, max(-1.0, rho))
-    if rho >= _RHO_CROSSOVER:
-        return gaussian_integrals(math.sqrt(x), math.sqrt(y), l).second
-    if rho <= -_RHO_CROSSOVER:
-        # antithetic boundary Z2 = -Z1: the two exponentials split at Z1 = 0
-        return exp_times_cdf(0.5 * l * l * (x - 1.0), -l * math.sqrt(x)) + exp_times_cdf(
-            0.5 * l * l * (y - 1.0), -l * math.sqrt(y)
-        )
-    rect = bvn_up(l / (2.0 * math.sqrt(x)), l / (2.0 * math.sqrt(y)), rho)
-    return rect + _g_tilt_term(x, y, rho, l) + _g_tilt_term(y, x, rho, l)
+    return min(1.0, max(-1.0, rho))
 
 
+def g_value(x: float, y: float, rho: float, l: float) -> float:
+    """E[1 ^ e^{-l sqrt(x) Z1 - l^2/2} ^ e^{-l sqrt(y) Z2 - l^2/2}] for a
+    correlated standard normal pair (Z1, Z2) with correlation rho.
+
+    A batch of one through the array code that `integrate_rows` runs.
+    """
+    rho = _check_g_arguments(x, y, rho, l)
+    return _elliptical_terms(x, y, rho, l)[4]
+
+
+def _drift_rows(X, v, kind: str, lc):
+    # drift_c before the l^2 factor, as (a(x), a(y)) and b, for rows of one
+    # kind: norms X = (x, y) > 0 (>= 0 for optimal) stacked on the first
+    # axis, inner products v and `_row_constants` lc
+    terms = _coordinate_terms(X, lc)
+    P, Q = terms[5], terms[6]
+    A = (1.0 - 2.0 * X) * Q + P
+    if kind == "optimal":
+        PQ = P + Q
+        g = np.minimum(PQ[0], PQ[1])
+    elif kind == "gcrn":
+        g = _g_aligned(_tail_exp(terms), P, Q)
+    else:
+        w = (X[0], X[1], v)
+        g = _g_rows(_rho_rows(kind, w, w, w, 1.0), terms)
+    return A, g - v * (Q[0] + Q[1])
+
+
+def _check_drift_kind(kind: str) -> None:
+    if kind not in DRIFT_KINDS:
+        raise ValueError(f"unknown drift kind {kind!r}")
+
+
+@np.errstate(divide="ignore")
 def drift_c(state: OdeState, l: float, kind: str) -> np.ndarray:
     """Full drift vector l^2 (a(x), a(y), b(x,y,v)) of the 3-D limit.
 
     b = g(x, y, rho_kind) - v [q(x) + q(y)]; for kind="optimal" the g term
-    is the upper bound p(x) ^ p(y) on any coupling's joint acceptance.
+    is the upper bound p(x) ^ p(y) on any coupling's joint acceptance.  A
+    batch of one through the array code that `integrate_rows` runs.
     """
-    if kind not in DRIFT_KINDS:
-        raise ValueError(f"unknown drift kind {kind!r}")
-    state = OdeState(*state)
-    x, y, v = state.x, state.y, state.v
-    a_x = drift_a(x, l)
-    a_y = drift_a(y, l)
-    if kind == "optimal":
-        g = min(accept_prob(x, l), accept_prob(y, l))
-    else:
-        g = g_value(x, y, rho_limit(kind, state), l)
-    b = g - v * (_q(x, l) + _q(y, l))
-    return l * l * np.array([a_x, a_y, b])
+    _check_drift_kind(kind)
+    if l <= 0:
+        raise ValueError("l must be positive")
+    x, y, v = (float(c) for c in state)
+    if x < 0 or y < 0:
+        raise ValueError("x and y must be nonnegative")
+    if kind != "optimal" and (x == 0 or y == 0):
+        raise ValueError(f"x and y must be positive for kind {kind!r}")
+    l = float(l)
+    A, b = _drift_rows(np.array([x, y]), np.float64(v), kind, _row_constants(l))
+    return np.array([A[0], A[1], b]) * (l * l)
 
 
-def _clip_state(w: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    # keep the trajectory inside S; loud failure if it strays materially
-    x, y, v = w
-    if x < -tol or y < -tol:
-        raise RuntimeError(f"trajectory left S: negative norm coordinate {w}")
-    x, y = max(x, 0.0), max(y, 0.0)
-    bound = math.sqrt(x * y)
-    if abs(v) > bound + tol:
-        raise RuntimeError(f"trajectory left S: |v| exceeds sqrt(xy) at {w}")
-    v = min(bound, max(-bound, v))
-    return np.array([x, y, v])
+def _clip_state(w: np.ndarray, name, tol: float = 1e-8) -> np.ndarray:
+    """Project rows (x, y, v) of w onto S; a row that strays materially
+    (or is not a number) raises, with name(i) naming row i."""
+    out = np.maximum(w, 0.0)
+    xy, v = w[:, :2], w[:, 2]
+    bound = np.sqrt(out[:, 0] * out[:, 1])
+    if not (xy.min() >= -tol and (np.abs(v) - bound).max() <= tol):
+        i = int(np.flatnonzero(~((xy >= -tol).all(axis=1) & (np.abs(v) - bound <= tol)))[0])
+        raise RuntimeError(f"trajectory left S at {w[i]} ({name(i)})")
+    out[:, 2] = np.minimum(bound, np.maximum(-bound, v))
+    return out
 
 
 def _rk4(rhs, state: np.ndarray, dt: float, n_steps: int, project) -> np.ndarray:
-    """Fixed-step classical Runge-Kutta path of shape (n_steps + 1, dim).
+    """Fixed-step classical Runge-Kutta path of shape (n_steps + 1,) + state.shape.
 
     project maps each new state back onto the admissible set.
     """
-    out = np.empty((n_steps + 1, state.size))
+    out = np.empty((n_steps + 1,) + state.shape)
     out[0] = state
+    half = 0.5 * dt
     for i in range(n_steps):
         k1 = rhs(state)
-        k2 = rhs(state + 0.5 * dt * k1)
-        k3 = rhs(state + 0.5 * dt * k2)
+        k2 = rhs(state + half * k1)
+        k3 = rhs(state + half * k2)
         k4 = rhs(state + dt * k3)
         state = project(state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         out[i + 1] = state
     return out
+
+
+@np.errstate(divide="ignore")
+def integrate_rows(rows, t_end: float, dt: float = 1e-3, form: str = "w") -> list:
+    """Fixed-step 4th-order integration of the 3-D limit for a batch of rows.
+
+    rows: a sequence of (w0, l, kind), each a start in S, a step parameter
+    and a drift kind.  All rows advance together as one (n, 3) state.  Rows
+    are grouped by kind once, so each RK4 stage evaluates one array drift
+    per kind (on numpy scalars for a kind with a single row).
+    Returns one `OdeTrajectory` per row, in order, each equal bit for bit to
+    `integrate_w` on that row alone.  A row whose drift leaves its domain or
+    whose path leaves S raises, naming its (w0, l, kind).
+
+    form="w" integrates (x, y, v); form="sd" integrates the squared-distance
+    change of variables (x, y, s) and reports v = (x + y - s)/2.
+    """
+    if dt <= 0 or t_end < 0:
+        raise ValueError("need dt > 0 and t_end >= 0")
+    if form not in ("w", "sd"):
+        raise ValueError(f"unknown form {form!r}")
+    starts, ls, kinds = [], [], []
+    for w0, l, kind in rows:
+        w0 = OdeState(*(float(c) for c in w0))
+        _check_drift_kind(kind)
+        if not l > 0:
+            raise ValueError(f"l must be positive (row {len(starts)}: l={l}, kind={kind})")
+        if w0.x < 0 or w0.y < 0 or abs(w0.v) > math.sqrt(w0.x * w0.y) + 1e-12:
+            raise ValueError(f"initial state outside S (row {len(starts)}: w0={tuple(w0)})")
+        starts.append(w0)
+        ls.append(float(l))
+        kinds.append(kind)
+    if not starts:
+        return []
+
+    def name(i):
+        return f"row {i}: w0={tuple(starts[i])}, l={ls[i]}, kind={kinds[i]}"
+
+    l_all = np.array(ls)
+    l2 = (l_all * l_all)[:, None]
+    # (kind, its row numbers, their index into the state, their row
+    # constants, the least norm its drift takes: 0 for optimal, else the
+    # least positive double); a kind with a single row indexes it by an int,
+    # so that its drift runs on numpy scalars, several times faster than on
+    # 1-element arrays
+    groups = []
+    for kind in dict.fromkeys(kinds):
+        members = np.flatnonzero(np.array(kinds) == kind)
+        idx = int(members[0]) if members.size == 1 else members
+        least = 0.0 if kind == "optimal" else _LEAST_POSITIVE
+        groups.append((kind, members, idx, _row_constants(l_all[idx]), least))
+
+    def drift(w):
+        out = np.empty(w.shape)
+        for kind, members, idx, lc, least in groups:
+            X, v = w[idx, :2].T, w[idx, 2]
+            if not X.min() >= least:
+                i = members[~(np.atleast_1d(X.min(axis=0)) >= least)][0]
+                raise ValueError(f"drift outside its domain at {w[i]} ({name(i)})")
+            A, b = _drift_rows(X, v, kind, lc)
+            out[idx, :2], out[idx, 2] = A.T, b
+        out *= l2
+        return out
+
+    state = np.array(starts)
+    if form == "w":
+        rhs = drift
+
+        def project(w):
+            return _clip_state(w, name)
+    else:
+        state[:, 2] = [w0.s for w0 in starts]
+
+        def rhs(w):
+            wv = w.copy()
+            wv[:, 2] = 0.5 * (w[:, 0] + w[:, 1] - w[:, 2])
+            c = drift(wv)
+            c[:, 2] = c[:, 0] + c[:, 1] - 2.0 * c[:, 2]
+            return c
+
+        def project(w):
+            return w
+
+    n_steps = int(round(t_end / dt))
+    out = _rk4(rhs, state, dt, n_steps, project)
+
+    t = dt * np.arange(n_steps + 1)
+    trajs = []
+    for i in range(len(starts)):
+        x, y, third = out[:, i, 0], out[:, i, 1], out[:, i, 2]
+        if form == "w":
+            v, s = third, x + y - 2.0 * third
+        else:
+            v, s = 0.5 * (x + y - third), third
+        trajs.append(OdeTrajectory(t=t, x=x, y=y, v=v, s=s))
+    return trajs
 
 
 def integrate_w(
@@ -246,46 +445,14 @@ def integrate_w(
 ) -> OdeTrajectory:
     """Fixed-step 4th-order integration of the 3-D limit from w0.
 
-    form="w" integrates (x, y, v); form="sd" integrates the squared-distance
-    change of variables (x, y, s) and reports v = (x + y - s)/2.  The two
-    agree pointwise to well below 1e-9.  check_dt=True reruns at dt/2 and
-    raises if the endpoint moves by more than 1e-8.
+    The batch of one of `integrate_rows`: the trajectory equals, bit for
+    bit, that row's trajectory in any batch.  form="w" integrates (x, y, v);
+    form="sd" integrates the squared-distance change of variables (x, y, s)
+    and reports v = (x + y - s)/2.  The two agree pointwise to well below
+    1e-9.  check_dt=True reruns at dt/2 and raises if the endpoint moves by
+    more than 1e-8.
     """
-    if dt <= 0 or t_end < 0:
-        raise ValueError("need dt > 0 and t_end >= 0")
-    if form not in ("w", "sd"):
-        raise ValueError(f"unknown form {form!r}")
-    w0 = OdeState(*w0)
-    if w0.x < 0 or w0.y < 0 or abs(w0.v) > math.sqrt(w0.x * w0.y) + 1e-12:
-        raise ValueError("initial state outside S")
-
-    if form == "w":
-        def rhs(w):
-            return drift_c(OdeState(*w), l, kind)
-
-        state = np.array([w0.x, w0.y, w0.v])
-    else:
-        def rhs(w):
-            x, y, s = w
-            v = 0.5 * (x + y - s)
-            c = drift_c(OdeState(x, y, v), l, kind)
-            return np.array([c[0], c[1], c[0] + c[1] - 2.0 * c[2]])
-
-        state = np.array([w0.x, w0.y, w0.s])
-
-    n_steps = int(round(t_end / dt))
-    project = _clip_state if form == "w" else (lambda w: w)
-    out = _rk4(rhs, state, dt, n_steps, project)
-
-    t = dt * np.arange(n_steps + 1)
-    if form == "w":
-        x, y, v = out[:, 0], out[:, 1], out[:, 2]
-        s = x + y - 2.0 * v
-    else:
-        x, y, s = out[:, 0], out[:, 1], out[:, 2]
-        v = 0.5 * (x + y - s)
-    traj = OdeTrajectory(t=t, x=x, y=y, v=v, s=s)
-
+    (traj,) = integrate_rows([(w0, l, kind)], t_end, dt=dt, form=form)
     if check_dt:
         fine = integrate_w(w0, l, kind, t_end, dt=dt / 2.0, form=form, check_dt=False)
         gap = max(
@@ -296,6 +463,24 @@ def integrate_w(
         if gap > 1e-8:
             raise RuntimeError(f"dt-halving moved the endpoint by {gap:.3e}")
     return traj
+
+
+@np.errstate(divide="ignore")
+def _elliptical_terms(x1: float, y1: float, rho: float, l1: float):
+    # the k-independent parts of the elliptical drifts: q1(x1), q1(y1),
+    # Phi(-l1/(2 sqrt x1)), Phi(-l1/(2 sqrt y1)) and g(x1, y1, rho; l1), for
+    # x1, y1, l1 > 0 and rho in [-1, 1]
+    terms = _coordinate_terms(np.array([x1, y1], dtype=float), _row_constants(float(l1)))
+    P, Q = terms[5], terms[6]
+    g = _g_rows(np.float64(rho), terms)
+    return float(Q[0]), float(Q[1]), float(P[0]), float(P[1]), float(g)
+
+
+def _elliptical_drifts(x_k: float, y_k: float, v_k: float, shared):
+    q1x, q1y, p1x, p1y, g = shared
+    a_x = (1.0 - 2.0 * x_k) * q1x + p1x
+    a_y = (1.0 - 2.0 * y_k) * q1y + p1y
+    return a_x, a_y, g - v_k * (q1x + q1y)
 
 
 def elliptical_infinitesimal(k: int, quantities, l1: float):
@@ -312,14 +497,8 @@ def elliptical_infinitesimal(k: int, quantities, l1: float):
     dx_{k-1}/dt = l^2 (z_k^2 / z_{k-1}^2) a_k.
     """
     x_k, y_k, v_k, x1, y1, rho = (float(c) for c in quantities)
-    if x1 <= 0 or y1 <= 0:
-        raise ValueError("x1 and y1 must be positive")
-    q1x = _q(x1, l1)
-    q1y = _q(y1, l1)
-    a_x = (1.0 - 2.0 * x_k) * q1x + float(ndtr(-l1 / (2.0 * math.sqrt(x1))))
-    a_y = (1.0 - 2.0 * y_k) * q1y + float(ndtr(-l1 / (2.0 * math.sqrt(y1))))
-    b_v = g_value(x1, y1, rho, l1) - v_k * (q1x + q1y)
-    return a_x, a_y, b_v
+    rho = _check_g_arguments(x1, y1, rho, l1)
+    return _elliptical_drifts(x_k, y_k, v_k, _elliptical_terms(x1, y1, rho, l1))
 
 
 def two_eigenvalue_ode(
@@ -342,6 +521,8 @@ def two_eigenvalue_ode(
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
+    if l <= 0:
+        raise ValueError("l must be positive")
     if kind not in ("crn", "reflection", "gcrn"):
         raise ValueError(f"unsupported coupling kind {kind!r}")
     w0 = np.asarray(w0_blocks, dtype=float)
@@ -388,15 +569,15 @@ def two_eigenvalue_ode(
             coords.append((suffix(bx, k), suffix(by, k), suffix(bv, k)))
         rho = rho_limit(kind, coords[2], coords[1], coords[0], eps)
         x1, y1 = coords[2][0], coords[2][1]
+        if x1 <= 0 or y1 <= 0:
+            raise ValueError("x1 and y1 must be positive")
+        shared = _elliptical_terms(x1, y1, rho, l1)
         # drifts of the suffix coordinates x_{k-1} at k = 0 and k = 1
         rx = np.empty(2)
         ry = np.empty(2)
         rv = np.empty(2)
         for idx, k in enumerate((0, 1)):
-            x_k, y_k, v_k = coords[k + 1]
-            a_x, a_y, b_v = elliptical_infinitesimal(
-                k, (x_k, y_k, v_k, x1, y1, rho), l1
-            )
+            a_x, a_y, b_v = _elliptical_drifts(*coords[k + 1], shared)
             scale = l * l * (z2[k] / z2[k - 1])
             rx[idx] = scale * a_x
             ry[idx] = scale * a_y
@@ -406,8 +587,10 @@ def two_eigenvalue_ode(
         dva, dvb = amap_inv @ rv
         return np.array([dxa, dya, dva, dxb, dyb, dvb])
 
+    blocks = ("unit-eigenvalue block", "sigma^2 block")
+
     def project(w):
-        return np.concatenate([_clip_state(w[:3]), _clip_state(w[3:])])
+        return _clip_state(w.reshape(2, 3), blocks.__getitem__).reshape(6)
 
     n_steps = int(round(t_end / dt))
     out = _rk4(rhs, w0.copy(), dt, n_steps, project)

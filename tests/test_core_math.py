@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from mcmccoup.core_math import (
     RngStream,
+    bvn,
     bvn_low,
     bvn_up,
     exp_times_cdf,
@@ -32,6 +33,11 @@ _BVN_ORACLE = {
     (-0.5, -8.0, 0.6): 6.2209604168234763995e-16,
     (2.0, 2.0, -0.9): 0.9544997361036415856,
     (-1.19, -0.8414691966537533, 0.7071067811865476): 0.078520112360218751039,
+    # tail branch, |rho| >= 0.925
+    (-1.19, -0.8, 0.93): 0.11003403747870369646,
+    (0.5, -1.0, -0.95): 0.0023228994900851310483,
+    (1.2, 0.7, -0.999): 0.64296667755521869474,
+    (-2.0, 1.5, -0.999): 8.6425194940623474405e-33,
 }
 
 
@@ -78,7 +84,31 @@ def test_quantile_domain():
 def test_bvn_against_frozen_oracle():
     for (a, b, rho), want in _BVN_ORACLE.items():
         got = bvn_low(a, b, rho)
-        assert abs(got - want) < 1e-14, (a, b, rho, got, want)
+        assert abs(got - want) < 5e-16, (a, b, rho, got, want)
+
+
+def test_bvn_array_equals_per_row_calls():
+    # each element's value does not depend on the batch around it: one array
+    # call over mixed branches equals the per-row scalar calls bit for bit
+    gen = np.random.default_rng(2024)
+    n = 4000
+    h = gen.uniform(-6.0, 6.0, n)
+    k = gen.uniform(-6.0, 6.0, n)
+    r = gen.uniform(-1.0, 1.0, n)
+    r[:400] = gen.choice([0.93, -0.95, -0.999, 0.9999, 0.0], 400)
+    r[400:410] = [1.0, -1.0] * 5
+    h[410:415] = [np.inf, -np.inf, np.inf, -np.inf, 0.3]
+    k[414] = -np.inf
+    got = bvn(h, k, r)
+    assert got.shape == (n,)
+    want = np.array([bvn_up(a, b, c) for a, b, c in zip(h, k, r)])
+    assert np.array_equal(got, want)
+    assert np.array_equal(bvn(h.reshape(40, 100), k.reshape(40, 100), r.reshape(40, 100)),
+                          want.reshape(40, 100))
+    with pytest.raises(ValueError):
+        bvn(h[:3], k[:2], r[:3])
+    with pytest.raises(ValueError):
+        bvn([0.0, 0.0], [0.0, 0.0], [0.5, np.nan])
 
 
 def test_bvn_exact_degenerate_correlations():
@@ -105,6 +135,11 @@ def test_bvn_rejects_bad_correlation():
         bvn_low(0.0, 0.0, 1.2)
     with pytest.raises(ValueError):
         bvn_up(0.0, 0.0, float("nan"))
+    # a NaN limit is no probability either
+    with pytest.raises(ValueError, match="NaN"):
+        bvn_low(float("nan"), 0.0, 0.5)
+    with pytest.raises(ValueError, match="NaN"):
+        bvn([0.0, 1.0], [0.0, float("nan")], [0.95, 0.95])
 
 
 def test_bvn_up_complement():

@@ -13,6 +13,7 @@ from mcmccoup.ode_limits import (
     drift_c,
     elliptical_infinitesimal,
     g_value,
+    integrate_rows,
     integrate_w,
     rho_limit,
     two_eigenvalue_ode,
@@ -83,6 +84,15 @@ def test_g_domain_errors():
         g_value(1.0, 1.0, float("nan"), 2.38)
     with pytest.raises(ValueError):
         g_value(1.0, 1.0, 0.0, 0.0)
+    # at l = 80 every term of the aligned closed form underflows to 0: the
+    # aligned branch (and so every gcrn drift) raises rather than return 0
+    for rho in (1.0, 1.0 - 1e-7):
+        with pytest.raises(ArithmeticError):
+            g_value(1.0, 1.0, rho, 80.0)
+    with pytest.raises(ArithmeticError):
+        drift_c(OdeState(1.0, 1.0, 0.5), 80.0, "gcrn")
+    with pytest.raises(ArithmeticError):
+        integrate_rows([((1.0, 1.0, 0.0), 2.38, "crn"), ((1.0, 1.0, 0.5), 80.0, "gcrn")], 0.01)
 
 
 def test_drift_a_zero_at_one_and_signs():
@@ -212,6 +222,50 @@ def test_integrate_validation_errors():
         integrate_w(OdeState(1.0, 1.0, 1.5), L_OPT, "crn", 1.0)
     with pytest.raises(ValueError):
         integrate_w(OdeState(-0.1, 1.0, 0.0), L_OPT, "crn", 1.0)
+
+
+_START_CASES = ((1.0, 1.0, 0.0), (1.0, 1.0, 0.9), (1.5, 0.5, 0.0), (0.4, 0.01, -0.5))
+
+
+def test_integrate_rows_equals_batches_of_one():
+    # a mixed batch: every kind, start and step parameter; each row's
+    # trajectory must equal integrate_w on that row alone, bit for bit
+    rows = [
+        ((x0, y0, rho0 * math.sqrt(x0 * y0)), l, kind)
+        for x0, y0, rho0 in _START_CASES
+        for l in (L_OPT, math.sqrt(2.0))
+        for kind in ("crn", "reflection", "gcrn", "optimal")
+    ]
+    batch = integrate_rows(rows, 1.0, dt=0.01)
+    assert len(batch) == len(rows)
+    for (w0, l, kind), traj in zip(rows, batch):
+        alone = integrate_w(w0, l, kind, 1.0, dt=0.01)
+        for got, want in zip(traj, alone):
+            assert np.array_equal(got, want), (w0, l, kind)
+    sd_rows = rows[::3]
+    for (w0, l, kind), traj in zip(sd_rows, integrate_rows(sd_rows, 1.0, dt=0.01, form="sd")):
+        alone = integrate_w(w0, l, kind, 1.0, dt=0.01, form="sd")
+        for got, want in zip(traj, alone):
+            assert np.array_equal(got, want), (w0, l, kind, "sd")
+    assert integrate_rows([], 1.0) == []
+
+
+def test_integrate_rows_errors_name_the_row():
+    good = ((1.0, 1.0, 0.0), L_OPT, "crn")
+    # a step far too coarse throws this row out of S
+    with pytest.raises(RuntimeError, match=r"left S.*row 1: w0=\(5\.0, 0\.2, 0\.99\), l=2\.38, kind=gcrn"):
+        integrate_rows([good, ((5.0, 0.2, 0.99), L_OPT, "gcrn"), good], 6.0, dt=2.0)
+    # g needs x, y > 0; only the optimal bound is defined on the boundary
+    with pytest.raises(ValueError, match=r"row 2: w0=\(0\.0, 1\.0, 0\.0\), l=2\.38, kind=reflection"):
+        integrate_rows([good, good, ((0.0, 1.0, 0.0), L_OPT, "reflection")], 0.1, dt=0.01)
+    (opt,) = integrate_rows([((0.0, 1.0, 0.0), L_OPT, "optimal")], 0.1, dt=0.01)
+    assert opt.x[-1] > 0.0
+    with pytest.raises(ValueError, match="row 1"):
+        integrate_rows([good, ((1.0, 1.0, 1.5), L_OPT, "crn")], 1.0)
+    with pytest.raises(ValueError, match="l must be positive"):
+        integrate_rows([good, ((1.0, 1.0, 0.0), 0.0, "crn")], 1.0)
+    with pytest.raises(ValueError, match="unknown drift kind"):
+        integrate_rows([good, ((1.0, 1.0, 0.0), L_OPT, "maximal")], 1.0)
 
 
 def _coupled_increments(kind, z, z1, x_vec, y_vec):
