@@ -5,8 +5,7 @@ Usage:
              [--out DIR] [--threads K] [--set key=value ...]
 
 Configuration precedence: per-experiment defaults < config file < command
-line.  Exit codes: 0 success, 2 configuration problem, 3 oracle failure
-inside `validate`.
+line.  Exit codes: 0 success, 2 configuration problem.
 """
 
 from __future__ import annotations

@@ -2,9 +2,12 @@
 
 Standard normal CDF/quantile wrappers, bivariate normal rectangle
 probabilities to near machine precision (over arrays, with scalar batches
-of one), the two closed-form Gaussian acceptance integrals that drive every
+of one), the one-dimensional Gaussian acceptance integrals that drive every
 dimensional limit in this package, and counter-based random streams for
-reproducible sampling.
+reproducible sampling.  The acceptance integrals have one implementation,
+elementwise array code over rows of scaled squared norms: the ODE drifts
+in `ode_limits` run it on whole batches, and `gaussian_integrals` is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from scipy.special import log_ndtr, ndtr, ndtri
 __all__ = [
     "std_normal_cdf",
     "std_normal_quantile",
-    "exp_times_cdf",
     "bvn",
     "bvn_columns",
     "bvn_low",
@@ -44,15 +46,6 @@ def std_normal_quantile(p):
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
     out = ndtri(p)
     return float(out) if out.ndim == 0 else out
-
-
-def exp_times_cdf(c: float, u: float) -> float:
-    """exp(c) * Phi(u), computed as exp(c + log Phi(u)).
-
-    The two factors routinely over/underflow separately while their product
-    is order one; going through log Phi keeps the product stable.
-    """
-    return math.exp(c + float(log_ndtr(u)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +206,52 @@ def bvn_up(a: float, b: float, rho: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Acceptance integrals.
+#
+# The underscored functions are the package-internal array core: the ODE
+# drifts in `ode_limits` run them on whole batches of rows.
+
+
+def _row_constants(l):
+    # (l, l/2, l^2/2) for step parameters l: an array of rows, or one float
+    return l, 0.5 * l, 0.5 * l * l
+
+
+def _coordinate_terms(X, lc):
+    """Per-coordinate acceptance terms of scaled squared norms X >= 0.
+
+    X broadcasts against the `_row_constants` lc on its last axis.  Returns
+    sX = sqrt(X), lsX = l sX, R = l/(2 sX), U = R - l sX, c = l^2 (X - 1)/2,
+    P = Phi(-R) and Q = q(X) = e^c Phi(U), the tilted part of the limiting
+    acceptance probability P + Q (q(1) = Phi(-l/2)).  At X = 0, where R
+    divides by zero, P = 0 and Q = e^{-l^2/2}, the continuous limits.  The
+    products of huge exponentials with tiny tail probabilities are taken in
+    log space.
+    """
+    l, half_l, hl2 = lc
+    sX = np.sqrt(X)
+    lsX = l * sX
+    R = half_l / sX
+    U = R - lsX
+    c = hl2 * (X - 1.0)
+    return sX, lsX, R, U, c, ndtr(-R), np.exp(c + log_ndtr(U))
+
+
+def _tail_exp(terms):
+    # E = e^c Phi(-l sqrt x) per coordinate, from `_coordinate_terms`
+    return np.exp(terms[4] + log_ndtr(-terms[1]))
+
+
+def _g_aligned(E, P, Q):
+    # the joint acceptance E[1 ^ e^{A_x} ^ e^{A_y}] of perfectly aligned
+    # proposals (rho = 1), elementwise over the (x, y) first axis of the
+    # `_tail_exp` E and the `_coordinate_terms` P, Q: P + Q - E at the
+    # smaller norm plus E at the larger (the other order's sum is never
+    # smaller); raises where the value underflows
+    F = P + Q - E
+    g = np.minimum(np.minimum(F[0] + E[1], F[1] + E[0]), 1.0)
+    if not g.min() > 0.0:
+        raise ArithmeticError("acceptance integral underflowed to a nonpositive value")
+    return g
 
 
 class GaussianIntegrals(NamedTuple):
@@ -232,26 +271,17 @@ def gaussian_integrals(alpha: float, beta: float, l: float) -> GaussianIntegrals
              = Phi(-l/(2m)) + e^{l^2(m^2-1)/2} {Phi(l/(2m) - lm) - Phi(-lm)}
                + e^{l^2(M^2-1)/2} Phi(-lM),   m = alpha ^ beta, M = alpha v beta
 
-    where ^ and v denote min and max.  Products of huge exponentials with
-    tiny tail probabilities are evaluated in log space.
+    where ^ and v denote min and max.  A batch of one of the code the ODE
+    drifts run: first is -l alpha q(alpha^2) and second equals
+    `ode_limits.g_value(alpha^2, beta^2, 1, l)` bit for bit.
     """
     if alpha <= 0.0 or beta <= 0.0 or l <= 0.0:
         raise ValueError("gaussian_integrals requires alpha, beta, l > 0")
-    first = -l * alpha * exp_times_cdf(
-        0.5 * l * l * (alpha * alpha - 1.0), l / (2.0 * alpha) - l * alpha
-    )
-    m, big = min(alpha, beta), max(alpha, beta)
-    cm = 0.5 * l * l * (m * m - 1.0)
-    second = (
-        float(ndtr(-l / (2.0 * m)))
-        + exp_times_cdf(cm, l / (2.0 * m) - l * m)
-        - exp_times_cdf(cm, -l * m)
-        + exp_times_cdf(0.5 * l * l * (big * big - 1.0), -l * big)
-    )
-    second = min(second, 1.0)
-    if second <= 0.0:
-        raise ArithmeticError("acceptance integral underflowed to a nonpositive value")
-    return GaussianIntegrals(float(first), float(second))
+    X = np.array([alpha * alpha, beta * beta], dtype=float)
+    terms = _coordinate_terms(X, _row_constants(float(l)))
+    P, Q = terms[5], terms[6]
+    second = _g_aligned(_tail_exp(terms), P, Q)
+    return GaussianIntegrals(float(-terms[1][0] * Q[0]), float(second))
 
 
 # ---------------------------------------------------------------------------

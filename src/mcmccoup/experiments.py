@@ -24,27 +24,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .core_math import RngStream, gaussian_integrals, std_normal_cdf
+from .core_math import RngStream
 from .couplings import (
     CoupledChainState,
     CouplingSpec,
     coupled_hug_hop_step,
     coupled_rwm_step,
     cross_target_coupled_step,
-    maximal_independent_pair,
-    reflection_maximal_pair,
 )
-from .diagnostics import (
-    _psd_eigh,
-    gelbrich_bound,
-    run_replicates,
-    stationary_bias_bound,
-    tv_bound_curve,
-    w2_bound_curve,
-)
-from .fixed_points import h_rho, solve_fixed_point, sweep_asymptotes
-from .kernels import AnisotropicGaussian, HopParams, HugParams, hug_proposal, rwm_step
-from .ode_limits import drift_c, g_value, integrate_rows, integrate_w, OdeState
+from .diagnostics import run_replicates, stationary_bias_bound, tv_bound_curve, w2_bound_curve
+from .fixed_points import solve_fixed_point, sweep_asymptotes
+from .kernels import HopParams, HugParams
+from .ode_limits import integrate_rows
 from .targets import (
     Ar1Gaussian,
     DiagonalGaussian,
@@ -67,7 +58,6 @@ EXPERIMENTS = (
     "svm-threshold-sweep",
     "hug-hop-convergence",
     "hop-threshold-sweep",
-    "validate",
 )
 
 SCALES = ("desk", "paper")
@@ -790,184 +780,6 @@ def _run_hop_threshold_sweep(cfg: ExperimentConfig, rundir: _RunDir) -> None:
 
 
 # ---------------------------------------------------------------------------
-# validate: fast reruns of the derived-value oracles.
-
-
-def _validate_checks():
-    """(name, callable) pairs; each returns True on success."""
-    checks = []
-
-    def check(name):
-        def wrap(fn):
-            checks.append((name, fn))
-            return fn
-        return wrap
-
-    @check("normal cdf symmetry and quantile roundtrip")
-    def _cdf():
-        xs = np.array([-3.0, -1.0, -0.1, 0.0, 0.7, 2.5])
-        sym = np.abs(std_normal_cdf(xs) + std_normal_cdf(-xs) - 1.0).max() < 1e-14
-        from .core_math import std_normal_quantile
-        ps = np.array([0.01, 0.2, 0.5, 0.8, 0.99])
-        rt = max(abs(std_normal_cdf(std_normal_quantile(p)) - p) for p in ps) < 1e-12
-        return bool(sym and rt)
-
-    @check("bivariate cdf factorizes at rho = 0")
-    def _bvn():
-        from .core_math import bvn_low
-        pts = [(0.3, -0.7), (-1.2, 0.4), (1.5, 1.5)]
-        return all(
-            abs(bvn_low(a, b, 0.0) - std_normal_cdf(a) * std_normal_cdf(b)) < 1e-12
-            for a, b in pts
-        )
-
-    @check("acceptance coupling value at the diagonal")
-    def _gdiag():
-        l = 2.38
-        return (
-            abs(g_value(1.0, 1.0, 1.0, l) - 2.0 * std_normal_cdf(-l / 2.0)) < 1e-13
-            and abs(h_rho(1.0, l) - 2.0 * std_normal_cdf(-l / 2.0)) < 1e-13
-        )
-
-    @check("fixed-point forms agree (h_rho vs g_value)")
-    def _hg():
-        l = 2.38
-        rhos = [0.0, 0.3, 0.709, 0.95]
-        return all(abs(h_rho(r, l) - g_value(1.0, 1.0, r, l)) < 1e-10 for r in rhos)
-
-    @check("crn spherical asymptote root")
-    def _crn():
-        res = solve_fixed_point("crn", 2.38)
-        phi = std_normal_cdf(-1.19)
-        resid = abs(h_rho(res.v_star, 2.38) - 2.0 * res.v_star * phi)
-        return resid < 1e-10 and abs(res.s_inf - 0.9231814019691353) < 1e-6
-
-    @check("reflection asymptote residuals on a grid")
-    def _refl():
-        for l in (1.0, 2.38, 4.0):
-            for eps in (1.5, 3.0, 10.0):
-                res = solve_fixed_point("reflection", l, eps)
-                rho = res.v_star + (1.0 - res.v_star) / eps
-                resid = abs(h_rho(rho, l) - 2.0 * res.v_star * std_normal_cdf(-l / 2.0))
-                if resid > 1e-9:
-                    return False
-        return True
-
-    @check("stationary pair is an ode rest point")
-    def _rest():
-        c = drift_c(OdeState(1.0, 1.0, 1.0), 2.38, "gcrn")
-        return bool(np.abs(c[0] - c[2]) < 1e-14 and abs(c[0]) < 1e-14)
-
-    @check("gcrn ode decay is the closed exponential")
-    def _decay():
-        l = 2.38
-        traj = integrate_w((1.0, 1.0, 0.5), l, "gcrn", 2.0, dt=1e-3)
-        rate = 2.0 * l * l * std_normal_cdf(-l / 2.0)
-        ref = 1.0 * np.exp(-rate * traj.t)
-        return float(np.abs(traj.s - ref).max()) < 1e-10
-
-    @check("proposal coalescence probability matches")
-    def _coal():
-        rng = RngStream(2024, 9)
-        h, r = 0.4, 0.3
-        x = np.zeros(3)
-        y = np.full(3, r / math.sqrt(3.0))
-        n, hits = 20_000, 0
-        for _ in range(n):
-            _, _, same = reflection_maximal_pair(x, y, h, rng)
-            hits += same
-        p = 2.0 * std_normal_cdf(-r / (2.0 * h))
-        se = math.sqrt(p * (1.0 - p) / n)
-        return abs(hits / n - p) < 4.0 * se
-
-    @check("maximal coupling equality probability matches")
-    def _maximal():
-        rng = RngStream(77, 3)
-        axis = np.array([1.0, 0.0])  # N(0, I) and N(axis, I), one unit apart
-        law_x, law_y = (AnisotropicGaussian(c, axis, 1.0, 1.0) for c in (np.zeros(2), axis))
-        n, hits = 20_000, 0
-        for _ in range(n):
-            _, _, same = maximal_independent_pair(law_x, law_y, rng)
-            hits += same
-        p = 2.0 * std_normal_cdf(-0.5)
-        se = math.sqrt(p * (1.0 - p) / n)
-        return abs(hits / n - p) < 4.0 * se
-
-    @check("gaussian closed-form lower bound on commuting pair")
-    def _gelb():
-        val = gelbrich_bound(
-            np.zeros(2), np.diag([1.0, 4.0]), np.zeros(2), np.diag([9.0, 1.0])
-        )
-        a = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 0.5]])
-        w, v = _psd_eigh(a, "a")
-        ok = float(np.abs(v @ np.diag(w) @ v.T - a).max()) < 1e-11
-        return abs(val - 5.0) < 1e-12 and ok
-
-    @check("level sets preserved by bounce moves")
-    def _hug():
-        target = SphericalGaussian(100)
-        rng = RngStream(5, 1)
-        x = target.sample(rng)
-        v = rng.standard_normal(100)
-        out = hug_proposal(x, v, HugParams(total_time=0.5, bounces=10), target)
-        if out is None:
-            return False
-        xp, _ = out
-        return abs(target.log_density(xp) - target.log_density(x)) < 1e-10
-
-    @check("stationary acceptance rate near 0.234")
-    def _acc():
-        d, l = 1000, 2.38
-        target = SphericalGaussian(d)
-        h = l / math.sqrt(d)
-        rng = RngStream(99, 0)
-        x = target.sample(rng)
-        hits = 0
-        n = 2000
-        for _ in range(n):
-            z = rng.standard_normal(d)
-            u = float(rng.uniform())
-            x, acc = rwm_step(x, z, u, h, target)
-            hits += acc
-        return abs(hits / n - 2.0 * std_normal_cdf(-l / 2.0)) < 0.035
-
-    @check("meeting-time bound arithmetic")
-    def _tv():
-        from .diagnostics import MeetingRecord
-        rec = [MeetingRecord(replicate=0, tau=301, lag=100, capped=False)]
-        return tv_bound_curve(rec, [0.0]).estimate[0] == 3.0
-
-    @check("optimal coupling term dominates at the rest point")
-    def _opt():
-        l = 2.38
-        g_opt = gaussian_integrals(1.0, 1.0, l).second
-        return (
-            g_opt >= g_value(1.0, 1.0, 0.99, l) - 1e-12
-            and abs(g_opt - 2.0 * std_normal_cdf(-l / 2.0)) < 1e-12
-        )
-
-    return checks
-
-
-def _run_validate(cfg: ExperimentConfig, rundir: _RunDir) -> int:
-    rows = []
-    failures = 0
-    for name, fn in _validate_checks():
-        try:
-            ok = bool(fn())
-        except Exception as exc:  # a crashed oracle is a failed oracle
-            ok = False
-            print(f"FAIL {name} ({exc})")
-        else:
-            print(("ok   " if ok else "FAIL ") + name)
-        failures += not ok
-        rows.append([name, int(ok)])
-    _write_csv(rundir.path("validate.csv"), ["check", "passed"], rows)
-    print(f"{len(rows) - failures}/{len(rows)} oracle checks passed")
-    return 3 if failures else 0
-
-
-# ---------------------------------------------------------------------------
 # Entry point.
 
 
@@ -986,21 +798,18 @@ _RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig) -> int:
-    """Run one experiment to completion; returns the process exit code.
+    """Run one experiment to completion and return the process exit code, 0.
 
     Output files land in <out>/<experiment>/ together with a manifest that
-    replays the run.  On failure every file written so far is removed.
+    replays the run.  A failure raises, after every file written so far is
+    removed.
     """
     config = resolve(config)
     rundir = _RunDir(os.path.join(config.out, config.experiment))
     try:
-        if config.experiment == "validate":
-            code = _run_validate(config, rundir)
-        else:
-            _RUNNERS[config.experiment](config, rundir)
-            code = 0
+        _RUNNERS[config.experiment](config, rundir)
         _write_manifest(rundir, config)
     except Exception:
         rundir.discard_all()
         raise
-    return code
+    return 0

@@ -40,7 +40,10 @@ def h_rho(rho: float, l: float) -> float:
     for standard normal (Z1, Z2) with correlation rho.
 
     Evaluated as two bivariate normal rectangles in one `bvn` call;
-    h(1; l) = 2 Phi(-l/2).
+    h(1; l) = 2 Phi(-l/2).  This is `ode_limits.g_value(1, 1, rho, l)`, but
+    g takes its aligned closed form from rho >= 1 - 1e-6 on, while the
+    fixed-point bracket reaches 1 - 1e-9 and needs the sqrt(1 - rho) cusp
+    that the rectangles keep up to rho = 1.
     """
     if not -1.0 <= rho <= 1.0 or math.isnan(rho):
         raise ValueError("rho must lie in [-1, 1]")

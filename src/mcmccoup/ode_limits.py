@@ -10,11 +10,12 @@ changes in the Omega^k-weighted norms, and the closed six-component system
 for targets whose covariance has exactly two distinct eigenvalues of equal
 multiplicity.
 
-All acceptance expectations reduce to one-dimensional Gaussian integrals
-plus bivariate normal rectangle probabilities; everything is evaluated in
-log space so the exponential tilts cannot overflow.  The drift code is
-elementwise array arithmetic over rows of states, so the scalar functions
-are batches of one of the same code and agree with any batch bit for bit.
+All acceptance expectations reduce to the one-dimensional Gaussian
+integrals and bivariate normal rectangle probabilities of `core_math`;
+everything is evaluated in log space so the exponential tilts cannot
+overflow.  The drift code is elementwise array arithmetic over rows of
+states, so the scalar functions are batches of one of the same code and
+agree with any batch bit for bit.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
-from .core_math import bvn_columns
+from .core_math import _coordinate_terms, _g_aligned, _row_constants, _tail_exp, bvn_columns
 
 __all__ = [
     "OdeState",
@@ -77,29 +77,6 @@ class TwoEigTrajectory(NamedTuple):
     y_b: np.ndarray
     v_b: np.ndarray
     s: np.ndarray
-
-
-def _row_constants(l):
-    # (l, l/2, l^2/2) for step parameters l: an array of rows, or one float
-    return l, 0.5 * l, 0.5 * l * l
-
-
-def _coordinate_terms(X, lc):
-    """Per-coordinate acceptance terms of scaled squared norms X >= 0.
-
-    X broadcasts against the `_row_constants` lc on its last axis.  Returns
-    sX = sqrt(X), lsX = l sX, R = l/(2 sX), U = R - l sX, c = l^2 (X - 1)/2,
-    P = Phi(-R) and Q = q(X) = e^c Phi(U), the tilted part of the limiting
-    acceptance probability P + Q (q(1) = Phi(-l/2)).  At X = 0, where R
-    divides by zero, P = 0 and Q = e^{-l^2/2}, the continuous limits.
-    """
-    l, half_l, hl2 = lc
-    sX = np.sqrt(X)
-    lsX = l * sX
-    R = half_l / sX
-    U = R - lsX
-    c = hl2 * (X - 1.0)
-    return sX, lsX, R, U, c, ndtr(-R), np.exp(c + log_ndtr(U))
 
 
 @np.errstate(divide="ignore")
@@ -177,22 +154,6 @@ def rho_limit(kind: str, w1, w0=None, wm1=None, eps: float = 1.0) -> float:
 
 _RHO_CROSSOVER = 1.0 - 1e-6
 _LEAST_POSITIVE = np.nextafter(0.0, 1.0)
-
-
-def _tail_exp(terms):
-    # E = e^c Phi(-l sqrt x) per coordinate
-    return np.exp(terms[4] + log_ndtr(-terms[1]))
-
-
-def _g_aligned(E, P, Q):
-    # rho = 1: gaussian_integrals(sqrt x, sqrt y, l).second, which is
-    # P + Q - E at the smaller norm plus E at the larger (the other order's
-    # sum is never smaller); like it, raises where the value underflows
-    F = P + Q - E
-    g = np.minimum(np.minimum(F[0] + E[1], F[1] + E[0]), 1.0)
-    if not g.min() > 0.0:
-        raise ArithmeticError("acceptance integral underflowed to a nonpositive value")
-    return g
 
 
 def _g_rectangles(rho, sX, lsX, R, U, c):

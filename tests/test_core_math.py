@@ -17,11 +17,11 @@ from mcmccoup.core_math import (
     bvn,
     bvn_low,
     bvn_up,
-    exp_times_cdf,
     gaussian_integrals,
     std_normal_cdf,
     std_normal_quantile,
 )
+from mcmccoup.ode_limits import g_value
 
 # (a, b, rho) -> P(X <= a, Y <= b), 20 significant digits
 _BVN_ORACLE = {
@@ -70,6 +70,8 @@ def test_quantile_against_bisection_oracle():
     # round trip
     for x in (-5.0, -0.7, 0.3, 4.2):
         assert abs(std_normal_quantile(std_normal_cdf(x)) - x) < 1e-9
+    for p in (0.01, 0.2, 0.5, 0.8, 0.99):
+        assert abs(std_normal_cdf(std_normal_quantile(p)) - p) < 1e-12
 
 
 def test_quantile_domain():
@@ -112,8 +114,9 @@ def test_bvn_array_equals_per_row_calls():
 
 
 def test_bvn_exact_degenerate_correlations():
+    for a, b in ((0.3, -0.7), (-1.2, 0.4), (1.5, 1.5)):
+        assert bvn_low(a, b, 0.0) == float(std_normal_cdf(a)) * float(std_normal_cdf(b))
     a, b = 0.3, -0.7
-    assert bvn_low(a, b, 0.0) == float(std_normal_cdf(a)) * float(std_normal_cdf(b))
     assert bvn_low(a, b, 1.0) == float(std_normal_cdf(min(a, b)))
     assert bvn_low(a, 0.7, -1.0) == max(
         0.0, float(std_normal_cdf(a)) + float(std_normal_cdf(0.7)) - 1.0
@@ -185,19 +188,6 @@ def test_bvn_monotone_in_correlation(a, b, r1, r2):
     assert bvn_low(a, b, lo) <= bvn_low(a, b, hi) + 5e-15
 
 
-def test_exp_times_cdf_matches_high_precision_product():
-    # e^{25.4898} * Phi(-7.14991) is order 5e-2; naive product loses nothing
-    # here but the log route must agree to full precision
-    l, x = 2.38, 10.0
-    c = 0.5 * l * l * (x - 1.0)
-    u = l / (2.0 * math.sqrt(x)) - l * math.sqrt(x)
-    assert abs(exp_times_cdf(c, u) - 0.051020420237078462) < 1e-15
-    assert exp_times_cdf(0.0, 0.0) == 0.5
-    # extreme underflow territory stays finite and nonnegative
-    v = exp_times_cdf(500.0, -40.0)
-    assert 0.0 <= v < 1e-100
-
-
 def test_gaussian_integrals_closed_forms():
     first, second = gaussian_integrals(1.0, 1.0, 2.38)
     assert abs(first - (-0.27851520653499875)) < 1e-15
@@ -207,6 +197,27 @@ def test_gaussian_integrals_closed_forms():
     assert abs(got - 0.35675423885116751) < 1e-15
     # symmetric in (alpha, beta)
     assert got == gaussian_integrals(0.8, 1.3, 1.7).second
+
+
+def test_gaussian_integrals_second_is_the_aligned_g():
+    # the aligned joint acceptance has one implementation: the closed form is
+    # the ODE's g at rho = 1 on the squared arguments, bit for bit
+    gen = np.random.default_rng(20261019)
+    for alpha, beta, l in gen.uniform((0.05, 0.05, 0.05), (4.0, 4.0, 6.0), (10_000, 3)):
+        alpha, beta, l = float(alpha), float(beta), float(l)
+        assert gaussian_integrals(alpha, beta, l).second == g_value(
+            alpha * alpha, beta * beta, 1.0, l
+        ), (alpha, beta, l)
+
+
+def test_aligned_term_dominates_at_the_rest_point():
+    # at x = y = 1 the aligned value is the stationary acceptance 2 Phi(-l/2),
+    # and no correlation of the two proposals does better
+    for l in (1.0, 2.38, 4.0):
+        top = gaussian_integrals(1.0, 1.0, l).second
+        assert abs(top - 2.0 * float(std_normal_cdf(-l / 2.0))) < 1e-12
+        for rho in (-0.9, 0.0, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-7):
+            assert top >= g_value(1.0, 1.0, rho, l) - 1e-12, (l, rho)
 
 
 def test_gaussian_integrals_monte_carlo_oracle():

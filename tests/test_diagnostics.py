@@ -14,6 +14,7 @@ from mcmccoup.couplings import (
 from mcmccoup.diagnostics import (
     BoundCurve,
     MeetingRecord,
+    _psd_eigh,
     gelbrich_bound,
     run_replicates,
     stationary_bias_bound,
@@ -321,6 +322,10 @@ def test_gelbrich_values_and_symmetry():
     b = gelbrich_bound(np.ones(2), np.diag([2.0, 3.0]), np.zeros(2), np.diag([1.0, 4.0]))
     assert a == pytest.approx(b, rel=1e-12)
     assert a > 1e-10
+    # the eigendecomposition behind it reconstructs its matrix
+    m = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 0.5]])
+    w, v = _psd_eigh(m, "m")
+    assert float(np.abs(v @ np.diag(w) @ v.T - m).max()) < 1e-11
 
 
 def test_gelbrich_matches_general_oracle():

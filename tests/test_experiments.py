@@ -37,16 +37,16 @@ def test_defaults_fill_by_experiment_and_scale():
 
 def test_config_field_errors_are_attributed():
     with pytest.raises(ConfigError) as err:
-        make_config({"experiment": "validate", "seed": 1, "bogus": 3})
+        make_config({"experiment": "asymptote-spherical", "seed": 1, "bogus": 3})
     assert err.value.field == "bogus"
     with pytest.raises(ConfigError) as err:
-        make_config({"experiment": "validate"})
+        make_config({"experiment": "asymptote-spherical"})
     assert err.value.field == "seed"
     with pytest.raises(ConfigError) as err:
         make_config({"experiment": "not-a-thing", "seed": 1})
     assert err.value.field == "experiment"
     with pytest.raises(ConfigError) as err:
-        make_config({"experiment": "validate", "seed": "twelve"})
+        make_config({"experiment": "asymptote-spherical", "seed": "twelve"})
     assert err.value.field == "seed"
     with pytest.raises(ConfigError) as err:
         ExperimentConfig(experiment="mcmc-vs-ode", seed=1, d=-4)
@@ -88,14 +88,14 @@ def test_config_file_formats(tmp_path):
 
     # threads is retired: still accepted once checked, but not a config field
     js = tmp_path / "run.json"
-    js.write_text(json.dumps({"experiment": "validate", "seed": 3, "threads": 2}))
+    js.write_text(json.dumps({"experiment": "asymptote-spherical", "seed": 3, "threads": 2}))
     cfg = make_config(parse_config_file(str(js)))
-    assert cfg == make_config({"experiment": "validate", "seed": 3})
+    assert cfg == make_config({"experiment": "asymptote-spherical", "seed": 3})
     assert "threads" not in _FIELD_PARSERS
     assert not hasattr(cfg, "threads")
     for bad_threads in ("abc", 0, True):
         with pytest.raises(ConfigError) as err:
-            make_config({"experiment": "validate", "seed": 3, "threads": bad_threads})
+            make_config({"experiment": "asymptote-spherical", "seed": 3, "threads": bad_threads})
         assert err.value.field == "threads"
 
     bad = tmp_path / "bad.cfg"
@@ -295,14 +295,6 @@ def test_partial_outputs_removed_on_failure(tmp_path, monkeypatch):
     assert leftovers == []
 
 
-def test_validate_failure_exit_code(tmp_path, monkeypatch):
-    import mcmccoup.experiments as exp
-
-    monkeypatch.setattr(exp, "_validate_checks", lambda: [("doomed", lambda: False)])
-    cfg = make_config({"experiment": "validate", "seed": 1, "out": str(tmp_path)})
-    assert run_experiment(cfg) == 3
-
-
 def test_start_pair_matches_requested_moments():
     d = 40_000
     rng = RngStream(8, 0)
@@ -335,5 +327,4 @@ def test_experiment_registry_is_complete():
     from mcmccoup.experiments import _RUNNERS
 
     # shared runners serve several keys; none of the experiments may drop out
-    assert set(_RUNNERS) | {"validate"} == set(EXPERIMENTS)
-    assert "validate" not in _RUNNERS
+    assert set(_RUNNERS) == set(EXPERIMENTS)

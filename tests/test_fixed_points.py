@@ -30,12 +30,16 @@ def test_h_rho_closed_forms_and_oracle():
     for rho, (est, se) in _H_MC.items():
         assert abs(h_rho(rho, L_OPT) - est) < 4.0 * se
     # same function as the limit drift's joint acceptance term on the diagonal
-    for rho in (-0.7, 0.0, 0.42, 0.95):
+    for rho in (-0.7, 0.0, 0.3, 0.42, 0.709, 0.95):
         assert h_rho(rho, L_OPT) == pytest.approx(g_value(1, 1, rho, L_OPT), abs=1e-12)
 
 
 def test_h_rho_monotone_and_domain():
-    vals = [h_rho(r, L_OPT) for r in np.linspace(-1, 1, 33)]
+    # the last points lie inside the band where g_value takes its aligned
+    # closed form (rho >= 1 - 1e-6); h keeps rising through it to h(1), so
+    # the fixed-point bracket up to 1 - 1e-9 sees the sqrt(1 - rho) cusp
+    rhos = list(np.linspace(-1, 1, 33)[:-1]) + [1 - 1e-7, 1 - 1e-9, 1 - 1e-12, 1.0]
+    vals = [h_rho(r, L_OPT) for r in rhos]
     assert np.all(np.diff(vals) > 0)
     with pytest.raises(ValueError):
         h_rho(1.5, 2.38)
@@ -97,10 +101,10 @@ def test_reflection_reference_values():
 
 
 def test_residuals_across_grid():
-    for l in (0.5, 1.0, 2.38, 5.0):
+    for l in (0.5, 1.0, 2.38, 4.0, 5.0):
         res = solve_fixed_point("crn", l)
         assert abs(h_rho(res.v_star, l) - 2 * res.v_star * ndtr(-0.5 * l)) < 1e-12
-        for eps in (1.5, 4.0):
+        for eps in (1.5, 3.0, 4.0, 10.0):
             ref = solve_fixed_point("reflection", l, eps)
             rho = ref.v_star + (1 - ref.v_star) / eps
             resid = h_rho(rho, l) - h_rho(1.0, l) * ref.v_star

@@ -133,6 +133,7 @@ def test_hug_spherical_level_sets_and_unit_acceptance():
         x1, acc = hug_step(x, v, params, float(rng.uniform()), target)
         assert acc  # spherical: bounces conserve the norm, ratio is 1
         assert abs(np.linalg.norm(x1) - r0) < 1e-10
+        assert abs(target.log_density(x1) - target.log_density(x)) < 1e-10
         x = x1
 
 

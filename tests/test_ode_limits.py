@@ -170,6 +170,8 @@ def test_drift_c_assembly():
 
 def test_integrate_constant_solution():
     for kind in ("crn", "gcrn", "reflection", "optimal"):
+        # the stationary coalesced pair is a rest point of every drift
+        assert np.abs(drift_c(OdeState(1.0, 1.0, 1.0), L_OPT, kind)).max() < 1e-14
         traj = integrate_w(OdeState(1.0, 1.0, 1.0), L_OPT, kind, 1.5)
         assert np.max(np.abs(traj.x - 1.0)) == 0.0
         assert np.max(np.abs(traj.v - 1.0)) == 0.0
