@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import os
+from collections import namedtuple
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -26,6 +27,7 @@ import numpy as np
 from . import __version__
 from .core_math import RngStream
 from .couplings import (
+    COUPLING_KINDS,
     CoupledChainState,
     CouplingSpec,
     coupled_hug_hop_step,
@@ -33,7 +35,7 @@ from .couplings import (
     cross_target_coupled_step,
 )
 from .diagnostics import run_replicates, stationary_bias_bound, tv_bound_curve, w2_bound_curve
-from .fixed_points import solve_fixed_point, sweep_asymptotes
+from .fixed_points import FIXED_POINT_KINDS, solve_fixed_point, sweep_asymptotes
 from .kernels import HopParams, HugParams
 from .ode_limits import integrate_rows
 from .targets import (
@@ -45,19 +47,6 @@ from .targets import (
     laplace_fit,
     spectral_summary,
     svm_simulate,
-)
-
-EXPERIMENTS = (
-    "ode-spherical",
-    "mcmc-vs-ode",
-    "asymptote-spherical",
-    "asymptote-elliptical",
-    "mcmc-elliptical",
-    "svm-convergence",
-    "svm-bias",
-    "svm-threshold-sweep",
-    "hug-hop-convergence",
-    "hop-threshold-sweep",
 )
 
 SCALES = ("desk", "paper")
@@ -87,8 +76,9 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Fully explicit experiment description.
 
-    Optional fields left as None are filled by per-experiment, per-scale
-    defaults in resolve(); seed is always mandatory.
+    Optional fields left as None are filled with the experiment's desk or
+    paper defaults by resolve(); seed is always mandatory, and couplings
+    may name only the kinds the experiment runs.
     """
 
     experiment: str
@@ -97,7 +87,6 @@ class ExperimentConfig:
     out: str = "results"
     d: Optional[int] = None
     l: Optional[float] = None
-    h: Optional[float] = None
     target: Optional[str] = None
     couplings: Optional[Tuple[str, ...]] = None
     starts: Optional[Tuple[Tuple[float, float, float], ...]] = None
@@ -139,12 +128,13 @@ class ExperimentConfig:
                     raise ConfigError(name, "grid cannot be empty")
                 if any(not g > 0 for g in grid):
                     raise ConfigError(name, "grid values must be positive")
-        if self.couplings is not None:
-            from .couplings import COUPLING_KINDS
-
-            for kind in self.couplings:
-                if kind not in COUPLING_KINDS:
-                    raise ConfigError("couplings", f"unknown coupling kind {kind!r}")
+        kinds = _TABLE[self.experiment].kinds
+        for kind in self.couplings or ():
+            if kind not in kinds:
+                raise ConfigError(
+                    "couplings", f"{self.experiment} does not run coupling kind {kind!r};"
+                    f" choose from {', '.join(kinds)}"
+                )
         if self.starts is not None:
             for s in self.starts:
                 if len(s) != 3:
@@ -194,7 +184,6 @@ _FIELD_PARSERS = {
     "out": str,
     "d": _parse_int,
     "l": float,
-    "h": float,
     "target": str,
     "couplings": _parse_str_tuple,
     "starts": _parse_starts,
@@ -266,105 +255,6 @@ def parse_config_file(path: str) -> Dict:
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
     return out
-
-
-# ---------------------------------------------------------------------------
-# Per-experiment, per-scale defaults.
-
-
-def _defaults(experiment: str, scale: str) -> Dict:
-    desk = scale == "desk"
-    base: Dict = {}
-    if experiment == "ode-spherical":
-        base = dict(
-            l_grid=(2.38, math.sqrt(2.0)),
-            couplings=("crn", "reflection", "gcrn"),
-            starts=START_CASES,
-            t_end=5.0,
-            dt=1e-3,
-        )
-    elif experiment == "mcmc-vs-ode":
-        base = dict(
-            d=200 if desk else 1000,
-            l_grid=(2.38, math.sqrt(2.0)),
-            couplings=("crn", "reflection", "gcrn"),
-            starts=START_CASES,
-            replicates=6 if desk else 20,
-            t_end=5.0,
-            dt=1e-3,
-        )
-    elif experiment == "asymptote-spherical":
-        base = dict(
-            couplings=("crn", "reflection", "gcrn"),
-            l_grid=tuple(np.round(np.arange(0.2, 5.01, 0.2), 10)) + (2.38,),
-        )
-    elif experiment == "asymptote-elliptical":
-        base = dict(
-            couplings=("crn", "reflection"),
-            l_grid=(0.5, 1.0, 1.7, 2.38, 3.0, 4.0, 5.0),
-            eps_grid=(1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0),
-        )
-    elif experiment == "mcmc-elliptical":
-        base = dict(
-            d=500 if desk else 2000,
-            l=2.38,
-            couplings=("crn", "reflection", "gcrn"),
-            replicates=4 if desk else 20,
-        )
-    elif experiment == "svm-convergence":
-        base = dict(
-            d=50 if desk else 360,
-            l=2.38,
-            lag=10_000 if desk else 2_000_000,
-            replicates=20,
-            max_iter=200_000 if desk else 4_000_000,
-            delta=0.005,
-            couplings=("two-scale", "crn", "reflection"),
-        )
-    elif experiment == "svm-bias":
-        base = dict(
-            d=50 if desk else 360,
-            l=2.38,
-            couplings=("gcrn", "crn", "reflection"),
-            replicates=3 if desk else 10,
-            n_steps=30_000 if desk else 200_000,
-        )
-    elif experiment == "svm-threshold-sweep":
-        base = dict(
-            d=50 if desk else 360,
-            l=2.38,
-            lag=10_000 if desk else 2_000_000,
-            replicates=6 if desk else 20,
-            max_iter=200_000 if desk else 4_000_000,
-            delta_grid=(5e-4, 2e-3, 5e-3, 2e-2, 1e-1),
-        )
-    elif experiment == "hug-hop-convergence":
-        base = dict(
-            d=50 if desk else 500,
-            lag=500 if desk else 5_000,
-            replicates=20,
-            max_iter=50_000 if desk else 500_000,
-            delta=1e-4,
-        )
-    elif experiment == "hop-threshold-sweep":
-        base = dict(
-            d=50 if desk else 500,
-            lag=500 if desk else 5_000,
-            replicates=8 if desk else 20,
-            max_iter=50_000 if desk else 500_000,
-            delta_grid=(1e-6, 1e-5, 1e-4, 1e-3, 1e-2),
-        )
-    return base
-
-
-def resolve(config: ExperimentConfig) -> ExperimentConfig:
-    """Fill unset fields with the experiment's defaults at the given scale."""
-    filled = dict(_defaults(config.experiment, config.scale))
-    updates = {}
-    for name, default in filled.items():
-        if getattr(config, name) is None:
-            updates[name] = default
-    return replace(config, **updates) if updates else config
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +359,7 @@ def _svm_setup(cfg: ExperimentConfig):
     # step calibration does not need machine-tight gradients at the mode
     fit = laplace_fit(post, np.zeros(cfg.d), tol=1e-6, max_iter=50_000)
     z1 = spectral_summary(fit.as_target()).z(1)
-    h = cfg.h if cfg.h is not None else cfg.l / (math.sqrt(cfg.d) * z1)
-    return post, fit, h
+    return post, fit, cfg.l / (math.sqrt(cfg.d) * z1)
 
 
 def _rwm_step(cspec: CouplingSpec, h: float, target):
@@ -628,12 +517,8 @@ def _run_mcmc_vs_ode(cfg: ExperimentConfig, rundir: _RunDir) -> None:
     )
 
 
-def _run_asymptotes(cfg: ExperimentConfig, rundir: _RunDir) -> None:
-    """Fixed-point sweeps: over sorted l on round targets, over l x eps otherwise."""
-    if cfg.experiment == "asymptote-spherical":
-        l_grid, eps_grid = tuple(sorted(set(cfg.l_grid))), (1.0,)
-    else:
-        l_grid, eps_grid = tuple(cfg.l_grid), tuple(cfg.eps_grid)
+def _write_asymptotes(cfg: ExperimentConfig, rundir: _RunDir, l_grid, eps_grid) -> None:
+    """sweep.csv of the fixed point of every kind over l_grid x eps_grid."""
     rows = []
     for kind in cfg.couplings:
         for row in sweep_asymptotes(kind, l_grid, eps_grid):
@@ -643,6 +528,16 @@ def _run_asymptotes(cfg: ExperimentConfig, rundir: _RunDir) -> None:
         ["l", "epsilon", "kind", "v_star", "s_inf", "esjd"],
         rows,
     )
+
+
+def _run_asymptote_spherical(cfg: ExperimentConfig, rundir: _RunDir) -> None:
+    """Fixed points on round targets, over the sorted l grid."""
+    _write_asymptotes(cfg, rundir, tuple(sorted(set(cfg.l_grid))), (1.0,))
+
+
+def _run_asymptote_elliptical(cfg: ExperimentConfig, rundir: _RunDir) -> None:
+    """Fixed points over every (l, eps)."""
+    _write_asymptotes(cfg, rundir, tuple(cfg.l_grid), tuple(cfg.eps_grid))
 
 
 _ELLIPTICAL_TARGETS = ("ar1:0.5", "chi2:3", "two-eig:24")
@@ -664,7 +559,7 @@ def _run_mcmc_elliptical(cfg: ExperimentConfig, rundir: _RunDir) -> None:
         eps = ss.epsilon
         z1 = ss.z(1)
         zm1_sq = ss.z(-1) ** 2
-        h = cfg.h if cfg.h is not None else cfg.l / (math.sqrt(d) * z1)
+        h = cfg.l / (math.sqrt(d) * z1)
 
         def start(rng):
             return target.sample(rng), target.sample(rng)
@@ -780,21 +675,62 @@ def _run_hop_threshold_sweep(cfg: ExperimentConfig, rundir: _RunDir) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Entry point.
+# The experiment table and the entry point.
 
 
-_RUNNERS = {
-    "ode-spherical": _run_ode_spherical,
-    "mcmc-vs-ode": _run_mcmc_vs_ode,
-    "asymptote-spherical": _run_asymptotes,
-    "asymptote-elliptical": _run_asymptotes,
-    "mcmc-elliptical": _run_mcmc_elliptical,
-    "svm-convergence": _run_svm_convergence,
-    "svm-bias": _run_svm_bias,
-    "svm-threshold-sweep": _run_svm_threshold_sweep,
-    "hug-hop-convergence": _run_hug_hop_convergence,
-    "hop-threshold-sweep": _run_hop_threshold_sweep,
+# a default that differs by scale; resolve() takes the value named by the scale
+_Scaled = namedtuple("_Scaled", "desk paper")
+# runner(cfg, rundir), the coupling kinds it runs, and the config defaults
+_Experiment = namedtuple("_Experiment", "runner kinds defaults")
+# crn, reflection and gcrn: the kinds with an ODE limit and a fixed point
+_CURVE_KINDS = FIXED_POINT_KINDS
+# defaults that several experiments share
+_ODE = dict(l_grid=(2.38, math.sqrt(2.0)), couplings=_CURVE_KINDS, starts=START_CASES,
+            t_end=5.0, dt=1e-3)
+_SVM = dict(d=_Scaled(50, 360), l=2.38)
+_SVM_MEET = dict(_SVM, lag=_Scaled(10_000, 2_000_000), max_iter=_Scaled(200_000, 4_000_000))
+_HUG_HOP = dict(d=_Scaled(50, 500), lag=_Scaled(500, 5_000), max_iter=_Scaled(50_000, 500_000))
+
+# every experiment, in CLI order
+_TABLE = {
+    "ode-spherical": _Experiment(_run_ode_spherical, _CURVE_KINDS, _ODE),
+    "mcmc-vs-ode": _Experiment(_run_mcmc_vs_ode, _CURVE_KINDS, dict(
+        _ODE, d=_Scaled(200, 1000), replicates=_Scaled(6, 20))),
+    "asymptote-spherical": _Experiment(_run_asymptote_spherical, _CURVE_KINDS, dict(
+        couplings=_CURVE_KINDS, l_grid=tuple(np.round(np.arange(0.2, 5.01, 0.2), 10)) + (2.38,))),
+    "asymptote-elliptical": _Experiment(_run_asymptote_elliptical, _CURVE_KINDS, dict(
+        couplings=("crn", "reflection"), l_grid=(0.5, 1.0, 1.7, 2.38, 3.0, 4.0, 5.0),
+        eps_grid=(1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0))),
+    "mcmc-elliptical": _Experiment(_run_mcmc_elliptical, _CURVE_KINDS, dict(
+        d=_Scaled(500, 2000), l=2.38, couplings=_CURVE_KINDS, replicates=_Scaled(4, 20))),
+    "svm-convergence": _Experiment(_run_svm_convergence, COUPLING_KINDS, dict(
+        _SVM_MEET, replicates=20, delta=0.005, couplings=("two-scale", "crn", "reflection"))),
+    "svm-bias": _Experiment(_run_svm_bias, _CURVE_KINDS + ("gcrn-rotation", "gcrn-reflect"), dict(
+        _SVM, couplings=("gcrn", "crn", "reflection"), replicates=_Scaled(3, 10),
+        n_steps=_Scaled(30_000, 200_000))),
+    "svm-threshold-sweep": _Experiment(_run_svm_threshold_sweep, COUPLING_KINDS, dict(
+        _SVM_MEET, replicates=_Scaled(6, 20), delta_grid=(5e-4, 2e-3, 5e-3, 2e-2, 1e-1))),
+    "hug-hop-convergence": _Experiment(_run_hug_hop_convergence, COUPLING_KINDS, dict(
+        _HUG_HOP, replicates=20, delta=1e-4)),
+    "hop-threshold-sweep": _Experiment(_run_hop_threshold_sweep, COUPLING_KINDS, dict(
+        _HUG_HOP, replicates=_Scaled(8, 20), delta_grid=(1e-6, 1e-5, 1e-4, 1e-3, 1e-2))),
 }
+EXPERIMENTS = tuple(_TABLE)
+# run_experiment looks runners up here at call time, so they can be wrapped
+_RUNNERS = {name: entry.runner for name, entry in _TABLE.items()}
+
+
+def resolve(config: ExperimentConfig) -> ExperimentConfig:
+    """Fill unset fields with the experiment's defaults from _TABLE.
+
+    A default given as a _Scaled pair takes its desk or paper value.
+    """
+    updates = {}
+    for name, default in _TABLE[config.experiment].defaults.items():
+        if getattr(config, name) is None:
+            is_pair = isinstance(default, _Scaled)
+            updates[name] = getattr(default, config.scale) if is_pair else default
+    return replace(config, **updates) if updates else config
 
 
 def run_experiment(config: ExperimentConfig) -> int:

@@ -39,6 +39,9 @@ def test_config_field_errors_are_attributed():
     with pytest.raises(ConfigError) as err:
         make_config({"experiment": "asymptote-spherical", "seed": 1, "bogus": 3})
     assert err.value.field == "bogus"
+    with pytest.raises(ConfigError) as err:  # the step size h is retired
+        make_config({"experiment": "mcmc-elliptical", "seed": 1, "h": 0.3})
+    assert err.value.field == "h"
     with pytest.raises(ConfigError) as err:
         make_config({"experiment": "asymptote-spherical"})
     assert err.value.field == "seed"
@@ -108,7 +111,21 @@ def test_cli_error_exit_codes(tmp_path):
     assert main(["ode-spherical"]) == 2  # seed missing
     assert main(["ode-spherical", "--seed", "1", "--set", "d=banana"]) == 2
     assert main(["ode-spherical", "--seed", "1", "--set", "nonsense"]) == 2
+    assert main(["mcmc-elliptical", "--seed", "1", "--set", "h=0.3"]) == 2
     assert main(["ode-spherical", "--seed", "1", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize("experiment, kind", [
+    ("mcmc-elliptical", "reflection-maximal"),
+    ("ode-spherical", "two-scale"),
+    ("mcmc-vs-ode", "two-scale"),
+    ("svm-bias", "two-scale"),
+])
+def test_couplings_an_experiment_cannot_run_are_config_errors(tmp_path, capsys, experiment, kind):
+    argv = [experiment, "--seed", "1", "--out", str(tmp_path), "--set", f"couplings={kind}"]
+    assert main(argv) == 2
+    assert "config error: couplings:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ode_spherical_writes_every_curve(tmp_path):
@@ -202,9 +219,10 @@ def test_threads_do_not_change_results(tmp_path):
         if key != "experiment":
             argv += ["--set", f"{key}={value}"]
     assert main(argv) == 0
-    # a manifest written while threads was a config field replays unchanged
+    # a manifest written while threads and the step size h were config
+    # fields replays unchanged
     manifest = json.loads((tmp_path / "a" / "mcmc-elliptical" / "manifest.json").read_text())
-    manifest["config"]["threads"] = 3
+    manifest["config"].update(threads=3, h=None)
     old = tmp_path / "old_manifest.json"
     old.write_text(json.dumps(manifest))
     assert main(["mcmc-elliptical", "--config", str(old), "--out", str(tmp_path / "d")]) == 0
