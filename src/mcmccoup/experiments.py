@@ -131,19 +131,19 @@ class ExperimentConfig:
         kinds = _TABLE[self.experiment].kinds
         for kind in self.couplings or ():
             if kind not in kinds:
+                fix = f"choose from {', '.join(kinds)}" if kinds else "leave couplings unset"
                 raise ConfigError(
-                    "couplings", f"{self.experiment} does not run coupling kind {kind!r};"
-                    f" choose from {', '.join(kinds)}"
+                    "couplings", f"{self.experiment} does not run coupling kind {kind!r}; {fix}"
                 )
-        if self.starts is not None:
-            for s in self.starts:
-                if len(s) != 3:
-                    raise ConfigError("starts", "each start is a (x0, y0, rho0) triple")
-                x0, y0, rho0 = s
-                if x0 < 0 or y0 < 0 or abs(rho0) > 1:
-                    raise ConfigError(
-                        "starts", "need x0 >= 0, y0 >= 0 and |rho0| <= 1"
-                    )
+        for s in self.starts or ():
+            if len(s) != 3:
+                raise ConfigError("starts", "each start is a (x0, y0, rho0) triple")
+            x0, y0, rho0 = s
+            if x0 < 0 or y0 < 0 or abs(rho0) > 1:
+                raise ConfigError("starts", "need x0 >= 0, y0 >= 0 and |rho0| <= 1")
+            # only the optimal envelope is defined where a norm is zero
+            if self.couplings and (x0 == 0 or y0 == 0):
+                raise ConfigError("starts", "coupling kinds need x0 > 0 and y0 > 0")
 
 
 def _parse_int(value) -> int:
@@ -708,11 +708,11 @@ _TABLE = {
     "svm-bias": _Experiment(_run_svm_bias, _CURVE_KINDS + ("gcrn-rotation", "gcrn-reflect"), dict(
         _SVM, couplings=("gcrn", "crn", "reflection"), replicates=_Scaled(3, 10),
         n_steps=_Scaled(30_000, 200_000))),
-    "svm-threshold-sweep": _Experiment(_run_svm_threshold_sweep, COUPLING_KINDS, dict(
+    "svm-threshold-sweep": _Experiment(_run_svm_threshold_sweep, (), dict(
         _SVM_MEET, replicates=_Scaled(6, 20), delta_grid=(5e-4, 2e-3, 5e-3, 2e-2, 1e-1))),
-    "hug-hop-convergence": _Experiment(_run_hug_hop_convergence, COUPLING_KINDS, dict(
+    "hug-hop-convergence": _Experiment(_run_hug_hop_convergence, (), dict(
         _HUG_HOP, replicates=20, delta=1e-4)),
-    "hop-threshold-sweep": _Experiment(_run_hop_threshold_sweep, COUPLING_KINDS, dict(
+    "hop-threshold-sweep": _Experiment(_run_hop_threshold_sweep, (), dict(
         _HUG_HOP, replicates=_Scaled(8, 20), delta_grid=(1e-6, 1e-5, 1e-4, 1e-3, 1e-2))),
 }
 EXPERIMENTS = tuple(_TABLE)

@@ -8,7 +8,8 @@ at once (also in squared-distance form), and extends the construction to
 elliptical targets: the raw per-index infinitesimals of the expected
 changes in the Omega^k-weighted norms, and the closed six-component system
 for targets whose covariance has exactly two distinct eigenvalues of equal
-multiplicity.
+multiplicity, in which each eigenvalue block moves by its own closed-form
+drift.
 
 All acceptance expectations reduce to the one-dimensional Gaussian
 integrals and bivariate normal rectangle probabilities of `core_math`;
@@ -214,6 +215,7 @@ def _check_g_arguments(x: float, y: float, rho: float, l: float) -> float:
     return min(1.0, max(-1.0, rho))
 
 
+@np.errstate(divide="ignore")
 def g_value(x: float, y: float, rho: float, l: float) -> float:
     """E[1 ^ e^{-l sqrt(x) Z1 - l^2/2} ^ e^{-l sqrt(y) Z2 - l^2/2}] for a
     correlated standard normal pair (Z1, Z2) with correlation rho.
@@ -221,7 +223,8 @@ def g_value(x: float, y: float, rho: float, l: float) -> float:
     A batch of one through the array code that `integrate_rows` runs.
     """
     rho = _check_g_arguments(x, y, rho, l)
-    return _elliptical_terms(x, y, rho, l)[4]
+    terms = _coordinate_terms(np.array([x, y], dtype=float), _row_constants(float(l)))
+    return float(_g_rows(np.float64(rho), terms))
 
 
 def _drift_rows(X, v, kind: str, lc):
@@ -427,21 +430,15 @@ def integrate_w(
 
 
 @np.errstate(divide="ignore")
-def _elliptical_terms(x1: float, y1: float, rho: float, l1: float):
-    # the k-independent parts of the elliptical drifts: q1(x1), q1(y1),
-    # Phi(-l1/(2 sqrt x1)), Phi(-l1/(2 sqrt y1)) and g(x1, y1, rho; l1), for
-    # x1, y1, l1 > 0 and rho in [-1, 1]
+def _elliptical_rows(w, x1, y1, rho, l1) -> np.ndarray:
+    # (a(x), a(y), b(v)) of each row (x, y, v) of w (elliptical_infinitesimal), all sharing
+    # the acceptance terms of x1, y1 > 0, step l1 and the numpy float rho in [-1, 1]
     terms = _coordinate_terms(np.array([x1, y1], dtype=float), _row_constants(float(l1)))
     P, Q = terms[5], terms[6]
-    g = _g_rows(np.float64(rho), terms)
-    return float(Q[0]), float(Q[1]), float(P[0]), float(P[1]), float(g)
-
-
-def _elliptical_drifts(x_k: float, y_k: float, v_k: float, shared):
-    q1x, q1y, p1x, p1y, g = shared
-    a_x = (1.0 - 2.0 * x_k) * q1x + p1x
-    a_y = (1.0 - 2.0 * y_k) * q1y + p1y
-    return a_x, a_y, g - v_k * (q1x + q1y)
+    out = np.empty(w.shape)
+    out[..., :2] = (1.0 - 2.0 * w[..., :2]) * Q + P
+    out[..., 2] = _g_rows(rho, terms) - w[..., 2] * (Q[0] + Q[1])
+    return out
 
 
 def elliptical_infinitesimal(k: int, quantities, l1: float):
@@ -459,7 +456,8 @@ def elliptical_infinitesimal(k: int, quantities, l1: float):
     """
     x_k, y_k, v_k, x1, y1, rho = (float(c) for c in quantities)
     rho = _check_g_arguments(x1, y1, rho, l1)
-    return _elliptical_drifts(x_k, y_k, v_k, _elliptical_terms(x1, y1, rho, l1))
+    drifts = _elliptical_rows(np.array([x_k, y_k, v_k]), x1, y1, np.float64(rho), l1)
+    return tuple(float(c) for c in drifts)
 
 
 def two_eigenvalue_ode(
@@ -472,11 +470,16 @@ def two_eigenvalue_ode(
 ) -> TwoEigTrajectory:
     """Six-component limit for Sigma = diag(1, sigma^2, 1, sigma^2, ...).
 
-    Tracks per-block summaries (x, y, v) for the unit-eigenvalue block and
-    the sigma^2 block, each normalized to 1 at stationarity.  The drifts of
-    the Omega^k-weighted combinations at k = 0 and k = 1 determine the two
-    block drifts through an invertible 2x2 weight map (singular at
-    sigma^2 = 1, where the target is spherical and the blocks collapse).
+    The state holds the (x, y, v) of the unit-eigenvalue block and of the
+    sigma^2 block, each normalized to 1 at stationarity, as (2, 3) rows.
+    With lambda = (1, sigma^2), the weighted coordinates w_k = sum_b
+    lambda_b^{-k} w_b / sum_b lambda_b^{-k} at k = 1, 0, -1 give rho
+    (`rho_limit`, eps = z_1^2 z_{-1}^2 with z_k^2 the mean of lambda^{-k})
+    and the acceptance terms at (x_1, y_1) with l_1 = l z_1 that the blocks
+    share.  Block b moves by its own closed-form drift (l^2 / lambda_b)
+    (a(x_b), a(y_b), b(v_b)), with a and b those of
+    `elliptical_infinitesimal`; weighted by row k these give its coordinate
+    ODE.  At sigma^2 = 1 the block averages follow `integrate_w`.
 
     w0_blocks = (x_a, y_a, v_a, x_b, y_b, v_b).
     """
@@ -490,82 +493,30 @@ def two_eigenvalue_ode(
     if w0.shape != (6,):
         raise ValueError("w0_blocks must have six components")
 
-    if abs(sigma2 - 1.0) < 1e-12:
-        # spherical degeneracy: the block map is singular; valid only when
-        # the two blocks start identically, in which case they stay equal
-        if not (np.allclose(w0[:3], w0[3:], atol=1e-12)):
-            raise ValueError("sigma2 = 1 requires identical block starts")
-        traj3 = integrate_w(OdeState(w0[0], w0[1], w0[2]), l, kind, t_end, dt=dt)
-        return TwoEigTrajectory(
-            t=traj3.t,
-            x_a=traj3.x, y_a=traj3.y, v_a=traj3.v,
-            x_b=traj3.x.copy(), y_b=traj3.y.copy(), v_b=traj3.v.copy(),
-            s=traj3.s,
-        )
-
     lam = np.array([1.0, sigma2])
-    # suffix-k coordinate weights: w_b^{(k)} = lam_b^{1-k} / sum lam^{1-k},
-    # for k = 0, 1, 2 (giving coordinates x_{-1}, x_0, x_1)
-    weights = {}
-    for k in (0, 1, 2):
-        raw = lam ** (1 - k)
-        weights[k] = raw / raw.sum()
-    # z_k^2 = tr(Omega^k)/d for this spectrum
-    z2 = {k: 0.5 * float((lam ** (-k)).sum()) for k in (-1, 0, 1)}
-    eps = z2[1] * z2[-1]
-    amap = np.array([weights[0], weights[1]])  # rows: x_{-1}, x_0 equations
-    amap_inv = np.linalg.inv(amap)
-    l1 = l * math.sqrt(z2[1])
+    # rows k = 1, 0, -1 are proportional to lam^{-k}; z_k^2 is their mean
+    powers = np.array([1.0 / lam, np.ones(2), lam])
+    weights = powers / powers.sum(axis=1, keepdims=True)
+    z2 = powers.mean(axis=1)
+    eps = z2[0] * z2[2]
+    l1 = l * math.sqrt(z2[0])
+    scale = (l * l / lam)[:, None]
+    name = ("unit-eigenvalue block", "sigma^2 block").__getitem__
 
-    def suffix(block_x, k):
-        return float(np.dot(weights[k + 1], block_x))
-
-    def rhs(w):
-        xa, ya, va, xb, yb, vb = w
-        bx = np.array([xa, xb])
-        by = np.array([ya, yb])
-        bv = np.array([va, vb])
-        coords = []
-        for k in (-1, 0, 1):
-            coords.append((suffix(bx, k), suffix(by, k), suffix(bv, k)))
-        rho = rho_limit(kind, coords[2], coords[1], coords[0], eps)
-        x1, y1 = coords[2][0], coords[2][1]
-        if x1 <= 0 or y1 <= 0:
-            raise ValueError("x1 and y1 must be positive")
-        shared = _elliptical_terms(x1, y1, rho, l1)
-        # drifts of the suffix coordinates x_{k-1} at k = 0 and k = 1
-        rx = np.empty(2)
-        ry = np.empty(2)
-        rv = np.empty(2)
-        for idx, k in enumerate((0, 1)):
-            a_x, a_y, b_v = _elliptical_drifts(*coords[k + 1], shared)
-            scale = l * l * (z2[k] / z2[k - 1])
-            rx[idx] = scale * a_x
-            ry[idx] = scale * a_y
-            rv[idx] = scale * b_v
-        dxa, dxb = amap_inv @ rx
-        dya, dyb = amap_inv @ ry
-        dva, dvb = amap_inv @ rv
-        return np.array([dxa, dya, dva, dxb, dyb, dvb])
-
-    blocks = ("unit-eigenvalue block", "sigma^2 block")
-
-    def project(w):
-        return _clip_state(w.reshape(2, 3), blocks.__getitem__).reshape(6)
+    def drift(w):
+        # as Python floats: _rho_rows' scalar arithmetic is slower on numpy scalars
+        c1, c0, cm1 = (weights @ w).tolist()
+        if not (c1[0] > 0 and c1[1] > 0):
+            raise ValueError(f"drift outside its domain at weighted norms {c1[:2]}")
+        rho = np.float64(1.0) if kind == "gcrn" else _rho_rows(kind, c1, c0, cm1, eps)
+        return scale * _elliptical_rows(w, c1[0], c1[1], rho, l1)
 
     n_steps = int(round(t_end / dt))
-    out = _rk4(rhs, w0.copy(), dt, n_steps, project)
-
-    t = dt * np.arange(n_steps + 1)
-    w0_weights = weights[0]
-    s = (
-        out[:, 0] * w0_weights[0] + out[:, 3] * w0_weights[1]
-        + out[:, 1] * w0_weights[0] + out[:, 4] * w0_weights[1]
-        - 2.0 * (out[:, 2] * w0_weights[0] + out[:, 5] * w0_weights[1])
-    )
+    out = _rk4(drift, w0.reshape(2, 3), dt, n_steps, lambda w: _clip_state(w, name))
+    s = (out[..., 0] + out[..., 1] - 2.0 * out[..., 2]) @ weights[2]
     return TwoEigTrajectory(
-        t=t,
-        x_a=out[:, 0], y_a=out[:, 1], v_a=out[:, 2],
-        x_b=out[:, 3], y_b=out[:, 4], v_b=out[:, 5],
+        t=dt * np.arange(n_steps + 1),
+        x_a=out[:, 0, 0], y_a=out[:, 0, 1], v_a=out[:, 0, 2],
+        x_b=out[:, 1, 0], y_b=out[:, 1, 1], v_b=out[:, 1, 2],
         s=s,
     )

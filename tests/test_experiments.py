@@ -76,7 +76,7 @@ def test_config_file_formats(tmp_path):
     kv = tmp_path / "run.cfg"
     kv.write_text(
         "# comment line\n"
-        "experiment=hug-hop-convergence\n"
+        "experiment=mcmc-vs-ode\n"
         "seed=7\n"
         "d=10\n"
         "couplings=crn,gcrn\n"
@@ -120,12 +120,29 @@ def test_cli_error_exit_codes(tmp_path):
     ("ode-spherical", "two-scale"),
     ("mcmc-vs-ode", "two-scale"),
     ("svm-bias", "two-scale"),
+    ("svm-threshold-sweep", "crn"),
+    ("hug-hop-convergence", "crn"),
+    ("hop-threshold-sweep", "gcrn"),
 ])
 def test_couplings_an_experiment_cannot_run_are_config_errors(tmp_path, capsys, experiment, kind):
     argv = [experiment, "--seed", "1", "--out", str(tmp_path), "--set", f"couplings={kind}"]
     assert main(argv) == 2
     assert "config error: couplings:" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_zero_norm_starts_with_couplings_are_config_errors(tmp_path, capsys):
+    # couplings filled from the defaults are checked too
+    for experiment in ("ode-spherical", "mcmc-vs-ode"):
+        argv = [experiment, "--seed", "1", "--out", str(tmp_path), "--set", "starts=0,1,0"]
+        for extra in ([], ["--set", "couplings=crn"]):
+            assert main(argv + extra) == 2
+            assert "config error: starts:" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == []
+    # the optimal envelope alone is defined on that boundary
+    argv = ["ode-spherical", "--seed", "1", "--out", str(tmp_path), "--set", "starts=0,1,0",
+            "--set", "couplings=", "--set", "t_end=0.05", "--set", "dt=0.01"]
+    assert main(argv) == 0
 
 
 def test_ode_spherical_writes_every_curve(tmp_path):

@@ -404,11 +404,43 @@ def test_two_eigenvalue_spherical_dispatch():
     assert np.array_equal(td.x_b, tw.x)
     assert np.array_equal(td.s, tw.s)
     with pytest.raises(ValueError):
-        two_eigenvalue_ode(1.0, (1, 1, 0, 1.2, 1, 0), L_OPT, "crn", 1.0)
-    with pytest.raises(ValueError):
         two_eigenvalue_ode(4.0, (1, 1, 0), L_OPT, "crn", 1.0)
     with pytest.raises(ValueError):
         two_eigenvalue_ode(4.0, (1, 1, 0, 1, 1, 0), L_OPT, "two-scale", 1.0)
+    # at sigma^2 = 1 the two blocks are an arbitrary split of a spherical
+    # target, so from unequal block starts their averages follow integrate_w
+    w0 = np.array([1.5, 0.6, 0.2, 0.7, 1.2, 0.1])
+    for kind in ("crn", "reflection", "gcrn"):
+        td = two_eigenvalue_ode(1.0, w0, L_OPT, kind, 1.0)
+        tw = integrate_w(OdeState(*(0.5 * (w0[:3] + w0[3:]))), L_OPT, kind, 1.0)
+        assert np.max(np.abs(td.x_a - td.x_b)) > 0.1
+        for a, b, ref in ((td.x_a, td.x_b, tw.x), (td.y_a, td.y_b, tw.y), (td.v_a, td.v_b, tw.v)):
+            assert np.max(np.abs(0.5 * (a + b) - ref)) < 1e-14, kind
+        assert np.max(np.abs(td.s - tw.s)) < 1e-14, kind
+
+
+def test_two_eigenvalue_weighted_coordinates_follow_elliptical_infinitesimal():
+    # along a path, central differences of the lambda^{-k}-weighted block
+    # averages x_{k-1} (and y, v) at k = 0, 1 equal
+    # l^2 (z_k^2 / z_{k-1}^2) elliptical_infinitesimal(k, ...)
+    dt = 1e-3
+    for sigma2 in (0.2, 4.0, 24.0):
+        lam = np.array([1.0, sigma2])
+        z2 = {k: float(np.mean(lam ** -k)) for k in (-1, 0, 1)}
+        eps = z2[1] * z2[-1]
+        l1 = L_OPT * math.sqrt(z2[1])
+        for kind in ("crn", "reflection", "gcrn"):
+            tr = two_eigenvalue_ode(sigma2, (1.5, 0.6, 0.2, 0.7, 1.2, 0.1), L_OPT, kind, 0.5, dt=dt)
+            blocks = np.array([[tr.x_a, tr.y_a, tr.v_a], [tr.x_b, tr.y_b, tr.v_b]])
+            w = {k: np.tensordot(lam ** -k / np.sum(lam ** -k), blocks, axes=1) for k in (-1, 0, 1)}
+            for i in range(1, len(tr.t) - 1, 25):
+                x1, y1 = w[1][0, i], w[1][1, i]
+                rho = rho_limit(kind, w[1][:, i], w[0][:, i], w[-1][:, i], eps)
+                for k in (0, 1):
+                    fd = (w[k - 1][:, i + 1] - w[k - 1][:, i - 1]) / (2.0 * dt)
+                    raw = elliptical_infinitesimal(k, (*w[k][:, i], x1, y1, rho), l1)
+                    expect = L_OPT**2 * (z2[k] / z2[k - 1]) * np.array(raw)
+                    assert np.max(np.abs(fd - expect)) < 1e-5, (sigma2, kind, i, k)
 
 
 # block-symmetric equilibrium of the sigma^2 = 24 reflection system: the root
