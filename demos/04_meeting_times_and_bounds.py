@@ -29,8 +29,12 @@ def step(state, rng):
     return coupled_rwm_step(state, spec, h, target, rng)
 
 
+def start(rng):
+    return target.sample(rng), target.sample(rng)
+
+
 records, traces = run_replicates(
-    step, target.sample, lag=LAG, n_replicates=REPS, max_iter=100_000, seed=SEED,
+    step, start, lag=LAG, n_replicates=REPS, max_iter=100_000, seed=SEED,
 )
 taus = np.array([r.tau for r in records])
 print(f"d = {D}, lag = {LAG}, {REPS} replicates")

@@ -43,8 +43,12 @@ def step(state, rng):
     return coupled_rwm_step(state, spec, h, post, rng)
 
 
+def start(rng):
+    return post.prior_sample(rng), post.prior_sample(rng)
+
+
 records, _ = run_replicates(
-    step, post.prior_sample, lag=2_000, n_replicates=6, max_iter=100_000,
+    step, start, lag=2_000, n_replicates=6, max_iter=100_000,
     seed=SEED, store_trace=False,
 )
 taus = [r.tau for r in records]

@@ -54,8 +54,12 @@ def step(state, rng):
     return coupled_hug_hop_step(state, hug10, hop, 1e-4, small, rng)
 
 
+def start(rng):
+    return small.sample(rng), small.sample(rng)
+
+
 records, _ = run_replicates(
-    step, small.sample, lag=100, n_replicates=6, max_iter=50_000,
+    step, start, lag=100, n_replicates=6, max_iter=50_000,
     seed=SEED + 1, store_trace=False,
 )
 print(f"\nhug/hop meeting times at d = {d_small}: {sorted(round(r.tau) for r in records)}")

@@ -1,11 +1,13 @@
 """Coupling-based convergence and bias diagnostics.
 
-Implements the lag-L replicate protocol (advance one chain L steps alone,
-then run the pair jointly until exact meeting) and the estimators built on
-top of it: total variation bounds from meeting times, squared Wasserstein
-bounds from telescoping distance sums, stationary bias bounds for chains
-driven toward two different targets, and the closed-form lower bound for
-Gaussian laws used to sanity check the empirical ones.
+`run_replicates` is the one driver that steps replicates of a coupled pair
+from a start pair (x0, y0): with lag L >= 1 it advances x0 alone L steps and
+then runs the pair jointly until exact meeting; with L = 0 it couples the
+pair from (x0, y0) itself, as the contraction and bias runs do.  On top of
+it sit total variation bounds from meeting times and squared Wasserstein
+bounds from telescoping distance sums (both need L >= 1), stationary bias
+bounds for chains driven toward two different targets, and the closed-form
+lower bound for Gaussian laws used to sanity check the empirical ones.
 
 Meetings are exact events (bit-identical positions), so meeting times are
 well defined integers.  Replicates are keyed by (seed, replicate index),
@@ -47,7 +49,7 @@ _BOOTSTRAP_KEY = 1729
 
 @dataclass(frozen=True)
 class MeetingRecord:
-    """Outcome of one lag-L replicate.
+    """Outcome of one lag-L replicate, L >= 0.
 
     tau is the meeting time on the leading chain's clock, so tau = lag + u
     when the pair met after u joint steps; it is inf when the iteration
@@ -60,8 +62,8 @@ class MeetingRecord:
     capped: bool
 
     def __post_init__(self):
-        if self.lag < 1:
-            raise ValueError("lag must be at least 1")
+        if self.lag < 0:
+            raise ValueError("lag must be nonnegative")
         if self.capped:
             if math.isfinite(self.tau):
                 raise ValueError("capped records carry tau = inf")
@@ -103,30 +105,31 @@ class BoundCurve:
 
 def run_replicates(
     step: Callable[[CoupledChainState, RngStream], CoupledChainState],
-    init: Callable[[RngStream], np.ndarray],
+    start: Callable[[RngStream], Tuple[np.ndarray, np.ndarray]],
     lag: int,
     n_replicates: int,
     max_iter: int,
     seed: int,
     store_trace: bool = True,
 ) -> Tuple[List[MeetingRecord], List[np.ndarray]]:
-    """Run lag-L meeting replicates and collect times and distance traces.
+    """Run lag-L replicates of a coupled pair and collect times and distance traces.
 
-    Each replicate r uses its own stream RngStream(seed, r): draw the two
-    starts from init, advance the leading chain alone for `lag` steps (via
-    the step closure on a met state, which every coupling here advances as
-    a single chain), then step the pair jointly until it meets exactly or
-    `max_iter` joint steps have been spent.  Running out of budget caps
-    the replicate; that is flagged, not fatal.  Replicates r = 0, ..., n - 1
-    run in that order.
+    Each replicate r uses its own stream RngStream(seed, r): draw the start
+    pair (x0, y0) = start(rng), advance x0 alone for `lag` steps (via the
+    step closure on a met state, which every coupling here advances as a
+    single chain), then step the pair jointly until it meets exactly or
+    `max_iter` joint steps have been spent.  With lag = 0 there is no lead
+    phase and the pair is coupled from (x0, y0) itself.  Running out of
+    budget caps the replicate; that is flagged, not fatal.  Replicates
+    r = 0, ..., n - 1 run in that order.
 
     Returns (records, traces) where traces[r] holds the squared distance
     ||X_{u+lag} - Y_u||^2 at every joint step u = 0, 1, 2, ... strictly
-    before the meeting (so every stored entry is positive, and the trace
-    is empty when store_trace is False).
+    before the meeting (so a capped replicate has max_iter + 1 entries, and
+    the trace is empty when store_trace is False).
     """
-    if lag < 1:
-        raise ValueError("lag must be at least 1")
+    if lag < 0:
+        raise ValueError("lag must be nonnegative")
     if n_replicates < 1:
         raise ValueError("need at least one replicate")
     if max_iter < 1:
@@ -136,34 +139,47 @@ def run_replicates(
     traces: List[np.ndarray] = []
     for r in range(n_replicates):
         rng = RngStream(seed, r)
-        x0 = np.asarray(init(rng), dtype=float)
-        y0 = np.asarray(init(rng), dtype=float)
-        if x0.shape != y0.shape:
-            raise ValueError("init must draw starts of one fixed shape")
-
+        pair = start(rng)
+        try:
+            x0, y0 = (np.asarray(c, dtype=float) for c in pair)
+            ok = x0.ndim == 1 and x0.shape == y0.shape
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ValueError(
+                f"start must return (x0, y0), two 1-d arrays of one shape; got {pair!r:.60}"
+            )
         lead = CoupledChainState(x=x0, y=x0, t=0, met=True)
         for _ in range(lag):
             lead = step(lead, rng)
 
         state = CoupledChainState(x=lead.x, y=y0, t=0, met=False, lp_x=lead.lp_x)
         trace: List[float] = []
-        if store_trace:
-            gap = state.x - state.y
-            trace.append(float(np.dot(gap, gap)))
         tau = math.inf
-        capped = True
-        for u in range(1, max_iter + 1):
-            state = step(state, rng)
-            if state.met:
-                tau = lag + u
-                capped = False
-                break
+        for u in range(1, max_iter + 2):
             if store_trace:
                 gap = state.x - state.y
                 trace.append(float(np.dot(gap, gap)))
-        records.append(MeetingRecord(replicate=r, tau=tau, lag=lag, capped=capped))
+            if u > max_iter:
+                break
+            state = step(state, rng)
+            if state.met:
+                tau = lag + u
+                break
+        records.append(MeetingRecord(replicate=r, tau=tau, lag=lag, capped=tau == math.inf))
         traces.append(np.asarray(trace, dtype=float))
     return records, traces
+
+
+def _time_grid(t_grid, integers: bool = False) -> np.ndarray:
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size == 0:
+        raise ValueError("t_grid must be a nonempty 1-d grid")
+    if not np.all((t_grid >= 0) & (t_grid < math.inf)):
+        raise ValueError("time points must be finite and nonnegative")
+    if integers and np.any(t_grid != np.round(t_grid)):
+        raise ValueError("time points must be nonnegative integers")
+    return t_grid
 
 
 def _usable(records: Sequence[MeetingRecord], caller: str):
@@ -172,12 +188,12 @@ def _usable(records: Sequence[MeetingRecord], caller: str):
     lags = {rec.lag for rec in records}
     if len(lags) != 1:
         raise ValueError("all records must share one lag")
+    if 0 in lags:
+        raise ValueError(f"{caller}: the bound divides by the lag; lag-0 records have none")
     kept = [rec for rec in records if not rec.capped]
     n_capped = len(records) - len(kept)
     if not kept:
-        raise RuntimeError(
-            f"{caller}: every replicate was capped; nothing to estimate"
-        )
+        raise RuntimeError(f"{caller}: every replicate was capped; nothing to estimate")
     if n_capped:
         warnings.warn(
             f"{caller}: excluding {n_capped} capped replicate(s) of {len(records)}",
@@ -195,22 +211,13 @@ def tv_bound_curve(records: Sequence[MeetingRecord], t_grid) -> BoundCurve:
     excluded (with a warning); if all are capped there is nothing to
     estimate and a RuntimeError is raised.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0:
-        raise ValueError("t_grid must be a nonempty 1-d grid")
-    if np.any(t_grid < 0):
-        raise ValueError("time points must be nonnegative")
+    t_grid = _time_grid(t_grid)
     kept, n_capped, lag = _usable(records, "tv_bound_curve")
 
-    vals = np.empty((len(kept), t_grid.size))
-    for i, rec in enumerate(kept):
-        for j, t in enumerate(t_grid):
-            vals[i, j] = max(0.0, math.ceil((rec.tau - lag - t) / lag))
+    taus = np.array([rec.tau for rec in kept], dtype=float)
+    vals = np.maximum(0.0, np.ceil((taus[:, None] - lag - t_grid) / lag))
     est = vals.mean(axis=0)
-    if len(kept) > 1:
-        half = 1.96 * vals.std(axis=0, ddof=1) / math.sqrt(len(kept))
-    else:
-        half = np.zeros(t_grid.size)
+    half = 1.96 * vals.std(axis=0, ddof=1) / math.sqrt(len(kept)) if len(kept) > 1 else 0.0
     return BoundCurve(
         metric="tv",
         t=t_grid,
@@ -220,17 +227,6 @@ def tv_bound_curve(records: Sequence[MeetingRecord], t_grid) -> BoundCurve:
         n_replicates=len(kept),
         n_capped=n_capped,
     )
-
-
-def _trace_value(trace: np.ndarray, u: int, met_at: float) -> float:
-    """Squared distance at joint step u, zero once the pair has met."""
-    if u >= met_at:
-        return 0.0
-    if u >= trace.size:
-        raise ValueError(
-            "distance traces were not stored; rerun the replicates with store_trace=True"
-        )
-    return float(trace[u])
 
 
 def w2_bound_curve(
@@ -249,35 +245,33 @@ def w2_bound_curve(
     """
     if len(records) != len(traces):
         raise ValueError("need one trace per record")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0:
-        raise ValueError("t_grid must be a nonempty 1-d grid")
-    if np.any(t_grid < 0) or np.any(t_grid != np.round(t_grid)):
-        raise ValueError("time points must be nonnegative integers")
+    t_grid = _time_grid(t_grid, integers=True)
     kept, n_capped, lag = _usable(records, "w2_bound_curve")
 
-    kept_idx = [i for i, rec in enumerate(records) if not rec.capped]
-    met_at = {i: records[i].tau - lag for i in kept_idx}
-    last_met = max(met_at.values())
+    # each kept replicate's trace before its meeting, at joint steps u < met
+    met_at = [int(rec.tau) - lag for rec in kept]
+    rows = [np.asarray(traces[i]) for i, rec in enumerate(records) if not rec.capped]
+    if any(row.size < met for row, met in zip(rows, met_at)):
+        raise ValueError(
+            "distance traces were not stored; rerun the replicates with store_trace=True"
+        )
+    last_met = max(met_at)
 
     boot_rng = RngStream(_BOOTSTRAP_KEY, 0).generator
-    n = len(kept_idx)
+    n = len(kept)
     resamples = boot_rng.integers(0, n, size=(_N_BOOTSTRAP, n))
 
-    est = np.empty(t_grid.size)
-    lo = np.empty(t_grid.size)
-    hi = np.empty(t_grid.size)
-    for j_t, t in enumerate(np.round(t_grid).astype(int)):
-        # columns: all offsets u = t + (j-1) lag before the last meeting
-        n_terms = max(0, int(math.ceil((last_met - t) / lag)))
-        if n_terms == 0:
-            est[j_t] = lo[j_t] = hi[j_t] = 0.0
+    est, lo, hi = np.zeros((3, t_grid.size))
+    for j_t, t in enumerate(t_grid.astype(int)):
+        # columns: all offsets u = t + (j-1) lag before the last meeting,
+        # zero once a replicate has met
+        n_terms = math.ceil((last_met - t) / lag)
+        if n_terms <= 0:
             continue
-        mat = np.empty((n, n_terms))
-        for i, r in enumerate(kept_idx):
-            for j in range(n_terms):
-                u = t + j * lag
-                mat[i, j] = _trace_value(traces[r], u, met_at[r])
+        mat = np.zeros((n, n_terms))
+        for i, (row, met) in enumerate(zip(rows, met_at)):
+            terms = row[t:met:lag]
+            mat[i, : terms.size] = terms
         est[j_t] = float(np.sum(np.sqrt(mat.mean(axis=0))) ** 2)
         boot_means = mat[resamples].mean(axis=1)
         boot_vals = np.sum(np.sqrt(np.maximum(boot_means, 0.0)), axis=1) ** 2

@@ -28,7 +28,6 @@ from . import __version__
 from .core_math import RngStream
 from .couplings import (
     COUPLING_KINDS,
-    CoupledChainState,
     CouplingSpec,
     coupled_hug_hop_step,
     coupled_rwm_step,
@@ -369,34 +368,11 @@ def _rwm_step(cspec: CouplingSpec, h: float, target):
     return step
 
 
-def _gap_traces(step, start, n_steps: int, n_replicates: int, seed: int):
-    """Squared gaps ||X_t - Y_t||^2, t = 0..n_steps, one array per replicate.
-
-    Replicate r draws its starting pair start(rng) and then its steps from
-    RngStream(seed, r); replicates run in index order.  Callers normalise;
-    whether they divide before or after averaging replicates sets the last
-    bits of their outputs.
-    """
-    traces = []
-    for r in range(n_replicates):
-        rng = RngStream(seed, r)
-        x, y = start(rng)
-        state = CoupledChainState(x=x, y=y)
-        out = np.empty(n_steps + 1)
-        gap = state.x - state.y
-        out[0] = float(np.dot(gap, gap))
-        for t in range(n_steps):
-            state = step(state, rng)
-            gap = state.x - state.y
-            out[t + 1] = float(np.dot(gap, gap))
-        traces.append(out)
-    return traces
-
-
 def _meeting_records(cfg: ExperimentConfig, step, init, n_replicates=None, store_trace=True):
     return run_replicates(
-        step, init, lag=cfg.lag, n_replicates=n_replicates or cfg.replicates,
-        max_iter=cfg.max_iter, seed=cfg.seed, store_trace=store_trace,
+        step, lambda rng: (init(rng), init(rng)), lag=cfg.lag,
+        n_replicates=n_replicates or cfg.replicates, max_iter=cfg.max_iter, seed=cfg.seed,
+        store_trace=store_trace,
     )
 
 
@@ -495,9 +471,9 @@ def _run_mcmc_vs_ode(cfg: ExperimentConfig, rundir: _RunDir) -> None:
             n_steps = int(round(cfg.t_end * d))
             for kind in cfg.couplings:
                 traj = next(trajs)
-                traces = _gap_traces(
-                    _rwm_step(CouplingSpec(kind), h, target), start, n_steps,
-                    cfg.replicates, cfg.seed,
+                _, traces = run_replicates(
+                    _rwm_step(CouplingSpec(kind), h, target), start, 0, cfg.replicates,
+                    n_steps, cfg.seed,
                 )
                 s_mcmc = np.mean([tr / d for tr in traces], axis=0)
                 t_scaled = np.arange(n_steps + 1) / d
@@ -568,9 +544,9 @@ def _run_mcmc_elliptical(cfg: ExperimentConfig, rundir: _RunDir) -> None:
             slow = tgt_spec.startswith("two-eig") and kind == "reflection"
             t_end = cfg.t_end if cfg.t_end is not None else (150.0 if slow else 30.0)
             n_steps = cfg.n_steps if cfg.n_steps is not None else int(round(t_end * d))
-            traces = _gap_traces(
-                _rwm_step(CouplingSpec(kind), h, target), start, n_steps,
-                cfg.replicates, cfg.seed,
+            _, traces = run_replicates(
+                _rwm_step(CouplingSpec(kind), h, target), start, 0, cfg.replicates,
+                n_steps, cfg.seed,
             )
             s_trace = np.mean(traces, axis=0) / (d * zm1_sq)
             tail = s_trace[-max(1, n_steps // 4):]
@@ -633,7 +609,7 @@ def _run_svm_bias(cfg: ExperimentConfig, rundir: _RunDir) -> None:
         def step(state, rng):
             return cross_target_coupled_step(state, h, post, surrogate, kind, rng)
 
-        traces = _gap_traces(step, start, cfg.n_steps, cfg.replicates, cfg.seed)
+        _, traces = run_replicates(step, start, 0, cfg.replicates, cfg.n_steps, cfg.seed)
         est, (lo, hi) = stationary_bias_bound([tr[1:] for tr in traces], burn_in)
         rows.append([kind, est, lo, hi])
     _write_csv(rundir.path("bias.csv"), ["kind", "estimate", "ci_low", "ci_high"], rows)

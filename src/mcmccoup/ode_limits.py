@@ -284,6 +284,15 @@ def _clip_state(w: np.ndarray, name, tol: float = 1e-8) -> np.ndarray:
     return out
 
 
+def _check_run(starts, t_end: float, dt: float, name) -> None:
+    """Raise ValueError unless dt > 0 and t_end >= 0 are finite and each start i lies in S."""
+    if not (0 < dt < math.inf and 0 <= t_end < math.inf):
+        raise ValueError("need finite dt > 0 and t_end >= 0")
+    for i, (x, y, v) in enumerate(starts):
+        if not (x >= 0 and y >= 0 and abs(v) <= math.sqrt(x * y) + 1e-12):
+            raise ValueError(f"initial state outside S ({name(i)})")
+
+
 def _rk4(rhs, state: np.ndarray, dt: float, n_steps: int, project) -> np.ndarray:
     """Fixed-step classical Runge-Kutta path of shape (n_steps + 1,) + state.shape.
 
@@ -317,8 +326,6 @@ def integrate_rows(rows, t_end: float, dt: float = 1e-3, form: str = "w") -> lis
     form="w" integrates (x, y, v); form="sd" integrates the squared-distance
     change of variables (x, y, s) and reports v = (x + y - s)/2.
     """
-    if dt <= 0 or t_end < 0:
-        raise ValueError("need dt > 0 and t_end >= 0")
     if form not in ("w", "sd"):
         raise ValueError(f"unknown form {form!r}")
     starts, ls, kinds = [], [], []
@@ -327,16 +334,16 @@ def integrate_rows(rows, t_end: float, dt: float = 1e-3, form: str = "w") -> lis
         _check_drift_kind(kind)
         if not l > 0:
             raise ValueError(f"l must be positive (row {len(starts)}: l={l}, kind={kind})")
-        if w0.x < 0 or w0.y < 0 or abs(w0.v) > math.sqrt(w0.x * w0.y) + 1e-12:
-            raise ValueError(f"initial state outside S (row {len(starts)}: w0={tuple(w0)})")
         starts.append(w0)
         ls.append(float(l))
         kinds.append(kind)
-    if not starts:
-        return []
 
     def name(i):
         return f"row {i}: w0={tuple(starts[i])}, l={ls[i]}, kind={kinds[i]}"
+
+    _check_run(starts, t_end, dt, name)
+    if not starts:
+        return []
 
     l_all = np.array(ls)
     l2 = (l_all * l_all)[:, None]
@@ -492,6 +499,9 @@ def two_eigenvalue_ode(
     w0 = np.asarray(w0_blocks, dtype=float)
     if w0.shape != (6,):
         raise ValueError("w0_blocks must have six components")
+    w0 = w0.reshape(2, 3)
+    name = ("unit-eigenvalue block", "sigma^2 block").__getitem__
+    _check_run(w0, t_end, dt, name)
 
     lam = np.array([1.0, sigma2])
     # rows k = 1, 0, -1 are proportional to lam^{-k}; z_k^2 is their mean
@@ -501,7 +511,6 @@ def two_eigenvalue_ode(
     eps = z2[0] * z2[2]
     l1 = l * math.sqrt(z2[0])
     scale = (l * l / lam)[:, None]
-    name = ("unit-eigenvalue block", "sigma^2 block").__getitem__
 
     def drift(w):
         # as Python floats: _rho_rows' scalar arithmetic is slower on numpy scalars
@@ -512,7 +521,7 @@ def two_eigenvalue_ode(
         return scale * _elliptical_rows(w, c1[0], c1[1], rho, l1)
 
     n_steps = int(round(t_end / dt))
-    out = _rk4(drift, w0.reshape(2, 3), dt, n_steps, lambda w: _clip_state(w, name))
+    out = _rk4(drift, w0, dt, n_steps, lambda w: _clip_state(w, name))
     s = (out[..., 0] + out[..., 1] - 2.0 * out[..., 2]) @ weights[2]
     return TwoEigTrajectory(
         t=dt * np.arange(n_steps + 1),

@@ -411,11 +411,14 @@ def test_volatility_posterior_convergence_and_bias_ordering():
 
         two_scale = CouplingSpec("two-scale", delta=delta)
 
+        def start(rng):
+            return post.prior_sample(rng), post.prior_sample(rng)
+
         def step_two_scale(state, rng):
             return coupled_rwm_step(state, two_scale, h, post, rng)
 
         records, traces = run_replicates(
-            step_two_scale, post.prior_sample, lag=lag, n_replicates=20,
+            step_two_scale, start, lag=lag, n_replicates=20,
             max_iter=max_iter, seed=seed,
         )
         assert sum(r.capped for r in records) == 0
@@ -440,7 +443,7 @@ def test_volatility_posterior_convergence_and_bias_ordering():
                 return coupled_rwm_step(state, cspec, h, post, rng)
 
             recs, _ = run_replicates(
-                step_plain, post.prior_sample, lag=lag, n_replicates=10,
+                step_plain, start, lag=lag, n_replicates=10,
                 max_iter=max_iter, seed=seed, store_trace=False,
             )
             assert sum(r.capped for r in recs) >= 0.9 * len(recs), kind

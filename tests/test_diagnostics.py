@@ -23,13 +23,24 @@ from mcmccoup.diagnostics import (
     w2_bound_curve,
 )
 from mcmccoup.kernels import rwm_step
-from mcmccoup.targets import DenseGaussian, SphericalGaussian
+from mcmccoup.targets import (
+    DEFAULT_SVM_PARAMS,
+    DenseGaussian,
+    SphericalGaussian,
+    SvmPosterior,
+    laplace_fit,
+    svm_simulate,
+)
 
 
 def _drift_double(state, rng):
     """Deterministic test coupling: x drifts by +1, y joins x in one step."""
     x = state.x + 1.0
     return CoupledChainState(x=x, y=x, t=state.t + 1, met=True)
+
+
+def _independent_starts(sample):
+    return lambda rng: (sample(rng), sample(rng))
 
 
 def _two_scale_runner(d, delta=0.5):
@@ -40,7 +51,7 @@ def _two_scale_runner(d, delta=0.5):
     def step(state, rng):
         return coupled_rwm_step(state, cspec, h, target, rng)
 
-    return step, target.sample
+    return step, _independent_starts(target.sample)
 
 
 def test_meeting_record_validation():
@@ -53,14 +64,14 @@ def test_meeting_record_validation():
     with pytest.raises(ValueError):
         MeetingRecord(replicate=0, tau=12.5, lag=10, capped=False)
     with pytest.raises(ValueError):
-        MeetingRecord(replicate=0, tau=5, lag=0, capped=False)
+        MeetingRecord(replicate=0, tau=5, lag=-1, capped=False)
 
 
 def test_identity_double_meets_at_lag_plus_one():
     lag = 7
     records, traces = run_replicates(
         _drift_double,
-        init=lambda rng: rng.standard_normal(3),
+        start=_independent_starts(lambda rng: rng.standard_normal(3)),
         lag=lag,
         n_replicates=5,
         max_iter=50,
@@ -105,11 +116,80 @@ def test_trace_layout_and_thinning():
 def test_run_replicates_validation():
     step, init = _two_scale_runner(d=4)
     with pytest.raises(ValueError):
-        run_replicates(step, init, lag=0, n_replicates=1, max_iter=10, seed=0)
+        run_replicates(step, init, lag=-1, n_replicates=1, max_iter=10, seed=0)
     with pytest.raises(ValueError):
         run_replicates(step, init, lag=1, n_replicates=0, max_iter=10, seed=0)
     with pytest.raises(ValueError):
         run_replicates(step, init, lag=1, n_replicates=1, max_iter=0, seed=0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_start_must_return_a_pair(d):
+    # a one-array start must fail on its shape, not deep inside the step
+    step, _ = _two_scale_runner(d)
+    with pytest.raises(ValueError, match=r"start must return \(x0, y0\)"):
+        run_replicates(step, SphericalGaussian(d).sample, 1, 1, 10, 0)
+
+
+def _fixed_length_gaps(step, start, n_steps, n_replicates, seed):
+    """Reference loop: squared gaps ||X_t - Y_t||^2, t = 0..n_steps, per replicate."""
+    traces = []
+    for r in range(n_replicates):
+        rng = RngStream(seed, r)
+        x, y = start(rng)
+        state = CoupledChainState(x=x, y=y)
+        out = np.empty(n_steps + 1)
+        gap = state.x - state.y
+        out[0] = float(np.dot(gap, gap))
+        for t in range(n_steps):
+            state = step(state, rng)
+            gap = state.x - state.y
+            out[t + 1] = float(np.dot(gap, gap))
+        traces.append(out)
+    return traces
+
+
+def test_lag_zero_replicates_equal_the_fixed_length_loop():
+    # same-target crn on a round Gaussian, and cross-target gcrn between the
+    # svm posterior and its Laplace fit; neither pair ever meets
+    target = SphericalGaussian(20)
+    crn = CouplingSpec("crn")
+
+    def crn_step(state, rng):
+        return coupled_rwm_step(state, crn, 2.38 / math.sqrt(20), target, rng)
+
+    _, y = svm_simulate(5, DEFAULT_SVM_PARAMS, RngStream(3, 0))
+    post = SvmPosterior(y)
+    surrogate = laplace_fit(post, np.zeros(5), tol=1e-6, max_iter=50_000).as_target()
+
+    def gcrn_step(state, rng):
+        return cross_target_coupled_step(state, 0.5, post, surrogate, "gcrn", rng)
+
+    cases = [
+        (crn_step, _independent_starts(target.sample)),
+        (gcrn_step, lambda rng: (post.prior_sample(rng), surrogate.sample(rng))),
+    ]
+    for step, start in cases:
+        records, traces = run_replicates(step, start, 0, 3, 150, 21)
+        assert all(rec.capped and rec.lag == 0 for rec in records)
+        for got, want in zip(traces, _fixed_length_gaps(step, start, 150, 3, 21), strict=True):
+            assert got.shape == (151,)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_bound_curves_reject_lag_zero_and_nonfinite_times():
+    # both estimators divide by the lag
+    zero = [MeetingRecord(replicate=0, tau=4, lag=0, capped=False)]
+    with pytest.raises(ValueError, match="lag-0"):
+        tv_bound_curve(zero, [0.0])
+    with pytest.raises(ValueError, match="lag-0"):
+        w2_bound_curve(zero, [np.ones(4)], [0])
+    recs = [MeetingRecord(replicate=0, tau=13, lag=10, capped=False)]
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            tv_bound_curve(recs, [0.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            w2_bound_curve(recs, [np.ones(3)], [0.0, bad])
 
 
 def test_tv_curve_arithmetic():
@@ -181,7 +261,7 @@ def test_w2_identity_double_pipeline():
     lag = 4
     records, traces = run_replicates(
         _drift_double,
-        init=lambda rng: rng.standard_normal(2),
+        start=_independent_starts(lambda rng: rng.standard_normal(2)),
         lag=lag,
         n_replicates=3,
         max_iter=10,
@@ -247,14 +327,101 @@ def test_crn_alone_stays_capped():
         return coupled_rwm_step(state, cspec, h, target, rng)
 
     records, _ = run_replicates(
-        step, target.sample, lag=50, n_replicates=10, max_iter=400, seed=11,
-        store_trace=False,
+        step, _independent_starts(target.sample), lag=50, n_replicates=10, max_iter=400,
+        seed=11, store_trace=False,
     )
     n_capped = sum(r.capped for r in records)
     assert n_capped >= 9
     if n_capped == len(records):
         with pytest.raises(RuntimeError):
             tv_bound_curve(records, [0.0])
+
+
+# Exact oracles for the bound curves: RWM(h = 1) on N(0, 1) started from
+# N(6, 0.5^2), whose law at time t is computed on a grid, against the bounds
+# from reflection-maximal replicates.
+_ORACLE_GRID = np.linspace(-10.0, 14.0, 4801)
+_ORACLE_T = np.array([0, 5, 10, 15, 20, 30])
+_ORACLE_SEED = 1
+
+
+def _grid_laws(t_max):
+    """Grid masses of the chain's law at t = 0..t_max, and those of N(0, 1).
+
+    The kernel is RWM(h = 1) restricted to the grid: the proposal density
+    times min(1, pi_j / pi_i), with each row's missing mass left in place.
+    Detailed balance holds entry by entry, so the grid pi is stationary.
+    """
+    grid = _ORACLE_GRID
+    dx = grid[1] - grid[0]
+    pi = np.exp(-0.5 * grid * grid)
+    k = scipy.linalg.toeplitz(np.exp(-0.5 * (dx * np.arange(grid.size)) ** 2))
+    k *= dx / math.sqrt(2.0 * math.pi)
+    for lo in range(0, grid.size, 800):
+        rows = slice(lo, lo + 800)
+        k[rows] *= np.minimum(pi[rows, None], pi) / pi[rows, None]
+    k[np.diag_indices_from(k)] += 1.0 - k.sum(axis=1)
+    p = np.exp(-0.5 * ((grid - 6.0) / 0.5) ** 2)
+    laws = [p / p.sum()]
+    for _ in range(t_max):
+        laws.append(laws[-1] @ k)
+    return np.array(laws), pi / pi.sum()
+
+
+def _rwm_oracle(seed):
+    laws, pi = _grid_laws(int(_ORACLE_T.max()))
+    target = SphericalGaussian(1)
+    spec = CouplingSpec("reflection-maximal")
+
+    def step(state, rng):
+        return coupled_rwm_step(state, spec, 1.0, target, rng)
+
+    def start(rng):
+        return 6.0 + 0.5 * rng.standard_normal(1), 6.0 + 0.5 * rng.standard_normal(1)
+
+    records, traces = run_replicates(step, start, 30, 4000, 10_000, seed)
+    assert not any(rec.capped for rec in records)
+    return laws[_ORACLE_T], pi, records, traces
+
+
+@pytest.fixture(scope="module")
+def rwm_oracle():
+    return _rwm_oracle(_ORACLE_SEED)
+
+
+def _tv_oracle_gaps(oracle):
+    laws, pi, records, _ = oracle
+    exact = 0.5 * np.abs(laws - pi).sum(axis=1)
+    return tv_bound_curve(records, _ORACLE_T.astype(float)), exact
+
+
+def _w2sq_1d(p, q):
+    """Squared W2 between two grid laws, from their quantile functions."""
+    levels = (np.arange(20_000) + 0.5) / 20_000
+    gap = np.interp(levels, np.cumsum(p), _ORACLE_GRID) - np.interp(
+        levels, np.cumsum(q), _ORACLE_GRID
+    )
+    return float(np.mean(gap * gap))
+
+
+def _w2_oracle_gaps(oracle):
+    laws, pi, records, traces = oracle
+    exact = np.array([_w2sq_1d(p, pi) for p in laws])
+    return w2_bound_curve(records, traces, _ORACLE_T), exact
+
+
+def test_tv_bound_curve_bounds_the_exact_tv(rwm_oracle):
+    tv, exact = _tv_oracle_gaps(rwm_oracle)
+    assert np.all(tv.ci_high >= exact)
+    # the reflection-maximal bound sits within 0.06 of the exact value
+    assert np.all(tv.estimate <= exact + 0.1)
+
+
+def test_w2_bound_curve_bounds_the_exact_w2(rwm_oracle):
+    w2, exact = _w2_oracle_gaps(rwm_oracle)
+    assert np.all(w2.ci_high >= exact)
+    # at t = 0 the bound is 1.14 to 1.21 times the exact value
+    assert w2.estimate[0] <= 1.3 * exact[0]
 
 
 def test_stationary_bias_basic():

@@ -419,6 +419,18 @@ def test_two_eigenvalue_spherical_dispatch():
         assert np.max(np.abs(td.s - tw.s)) < 1e-14, kind
 
 
+def test_two_eigenvalue_ode_checks_its_inputs():
+    # each must fail on the input itself, not on the path it would start or
+    # on the size of the arrays it would allocate
+    with pytest.raises(ValueError, match=r"initial state outside S \(unit-eigenvalue block\)"):
+        two_eigenvalue_ode(4.0, (1, 1, 2, 1, 1, 0), L_OPT, "crn", 1.0, dt=0.01)
+    with pytest.raises(ValueError, match=r"initial state outside S \(sigma\^2 block\)"):
+        two_eigenvalue_ode(4.0, (1, 1, 0, -0.1, 1, 0), L_OPT, "crn", 1.0, dt=0.01)
+    for t_end, dt in ((1.0, 0.0), (1.0, -0.01), (-1.0, 0.01), (math.inf, 0.01), (1.0, math.inf)):
+        with pytest.raises(ValueError, match=r"need finite dt > 0 and t_end >= 0"):
+            two_eigenvalue_ode(4.0, (1, 1, 0, 1, 1, 0), L_OPT, "crn", t_end, dt=dt)
+
+
 def test_two_eigenvalue_weighted_coordinates_follow_elliptical_infinitesimal():
     # along a path, central differences of the lambda^{-k}-weighted block
     # averages x_{k-1} (and y, v) at k = 0, 1 equal

@@ -4,7 +4,9 @@ A traced benchmark round fails when the tracer's count of coupled step calls
 disagrees with the steps the written outputs imply.  This runs the tracer on
 toy-size versions of each chain-running experiment the benchmark uses, in a
 subprocess (installing the tracer rewires the package's modules), and checks
-the two counts agree.  It only reads from perfbench/.
+the two counts agree.  It also checks the tracer's replicate count, which
+binds the signature of `run_replicates`: every replicate of a coupled pair
+steps through that one driver.  It only reads from perfbench/.
 """
 
 import json
@@ -43,8 +45,10 @@ for exp, overrides in steps:
     codes.append(main(cli_argv(exp, overrides, 3, out)))
     cfg = asdict(resolve(make_config(config_mapping(exp, overrides, 3, out))))
     implied += chain_steps(cfg, os.path.join(out, exp))
+summary = tracer.summary()
 print(json.dumps({"codes": codes, "implied": implied,
-                  "traced": tracer.summary()["couplings.step_calls"]}))
+                  "traced": summary["couplings.step_calls"],
+                  "replicates": summary["diagnostics.replicates"]}))
 """
 
 
@@ -58,3 +62,5 @@ def test_traced_step_calls_equal_the_steps_outputs_imply(tmp_path):
     assert result["codes"] == [0] * 5
     assert result["implied"] > 0
     assert result["traced"] == result["implied"]
+    # 1 two-scale, 2 hug-hop, 3 bias arms, 3 targets x 3 kinds of plateaus, 1 overlay
+    assert result["replicates"] == 1 + 2 + 3 + 9 + 1
