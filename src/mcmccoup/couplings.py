@@ -19,6 +19,12 @@ Increment couplings:
                reflected residuals (can propose identical points)
   maximal-independent   maximal coupling with independent residuals
   two-scale    gcrn far apart, reflection-maximal once ||X-Y||^2 < delta
+
+Every RWM coupling above runs through one pair-step core.  The state
+carries what that core would otherwise recompute at unchanged positions:
+each chain's log density and unit gradient direction, and the gap X - Y
+with its squared norm.  A step evaluates a gradient only for a chain that
+moved, and the outputs are those of recomputing, bit for bit.
 """
 
 from __future__ import annotations
@@ -90,7 +96,11 @@ class CouplingSpec:
             raise ValueError(f"delta only applies to two-scale, not {self.kind!r}")
 
 
-@dataclass
+# an unfilled direction cache; None is a filled one: the gradient vanished there
+_UNSET = object()
+
+
+@dataclass(slots=True)
 class CoupledChainState:
     """Positions of the two chains, iteration count, and the meeting flag.
 
@@ -102,6 +112,20 @@ class CoupledChainState:
     chain's target.  A step fills a missing (None) one once, raising
     ValueError if it is not finite, and passes both on to the next state,
     so no step re-evaluates the density of the current positions.
+
+    The state also carries what a step would otherwise recompute at the
+    same positions:
+      n_x, n_y    the unit gradient direction of each chain under its own
+                  target (None where the gradient vanishes), set on the
+                  next state for a chain that did not move
+      gap, gap_sq x - y and its squared norm, formed once by difference()
+                  and passed on when neither chain moved
+    Each is a pure function of the positions (and of each chain's target,
+    as lp_x and lp_y are), so reading it gives the value a recomputation
+    would, bit for bit, as long as no one writes into a state's arrays or
+    fields (nothing here does).  The four are init=False: neither the
+    constructor nor dataclasses.replace can hand a step caches that belong
+    to other positions, since a built or replaced state starts without them.
     """
 
     x: np.ndarray
@@ -111,6 +135,17 @@ class CoupledChainState:
     branch: Optional[str] = field(default=None, compare=False)
     lp_x: Optional[float] = field(default=None, compare=False)
     lp_y: Optional[float] = field(default=None, compare=False)
+    n_x: object = field(default=_UNSET, init=False, compare=False, repr=False)
+    n_y: object = field(default=_UNSET, init=False, compare=False, repr=False)
+    gap: Optional[np.ndarray] = field(default=None, init=False, compare=False, repr=False)
+    gap_sq: float = field(default=0.0, init=False, compare=False, repr=False)
+
+    def difference(self):
+        """(x - y, ||x - y||^2), formed once per state."""
+        if self.gap is None:
+            gap = self.x - self.y
+            self.gap, self.gap_sq = gap, float(gap.dot(gap))
+        return self.gap, self.gap_sq
 
 
 def _start_density(lp, pos: np.ndarray, target: TargetModel, chain: str) -> float:
@@ -131,12 +166,24 @@ def _start_densities(state: CoupledChainState, target_x: TargetModel, target_y: 
     return lp_x, lp_y
 
 
-def _next_state(state, x, lp_x, y, lp_y, branch, meets=True) -> CoupledChainState:
-    """The state after one step; a pair met before or now (bitwise) moves as one."""
-    met = meets and (state.met or x is y or bool((x == y).all()))
+def _next_state(state, x, lp_x, y, lp_y, branch, meets=True, n_x=_UNSET, n_y=_UNSET):
+    """The state after one step; a pair met before or now (bitwise) moves as one.
+
+    n_x and n_y are the directions at state's positions, kept for a chain
+    that did not move.  The full comparison runs only when the first
+    coordinates agree, which every bitwise meeting passes.
+    """
+    met = meets and (state.met or x is y or (x[0] == y[0] and bool((x == y).all())))
     if met:
         y, lp_y = x, lp_x
-    return CoupledChainState(x=x, y=y, t=state.t + 1, met=met, branch=branch, lp_x=lp_x, lp_y=lp_y)
+    new = CoupledChainState(x=x, y=y, t=state.t + 1, met=met, branch=branch, lp_x=lp_x, lp_y=lp_y)
+    if x is state.x:
+        new.n_x = n_x
+        if y is state.y:
+            new.gap, new.gap_sq = state.gap, state.gap_sq
+    if y is state.y:
+        new.n_y = n_y
+    return new
 
 
 def couple_increments(
@@ -258,27 +305,34 @@ def maximal_independent_pair(law_x, law_y, rng: RngStream):
     raise RuntimeError("maximal coupling rejection loop exceeded 100000 tries")
 
 
-def _increment_proposals(kind, x, y, h, target_x, target_y, rng: RngStream):
+def _increment_proposals(kind, state, h, target_x, target_y, gen):
     """Proposals x + h z_x, y + h z_y from one shared draw (z, and z1 for gcrn).
 
-    Each chain takes its gradient direction from its own target.  A
-    vanishing gradient or difference falls back to crn, which keeps both
-    chains marginally exact.  Returns (prop_x, prop_y, kind actually used).
+    Each chain takes its gradient direction from its own target, read from
+    the state when carried.  A vanishing gradient or difference falls back
+    to crn, which keeps both chains marginally exact.  Returns (prop_x,
+    prop_y, kind actually used, n_x, n_y).
     """
-    z = rng.standard_normal(x.size)
-    z1 = float(rng.standard_normal()) if kind == "gcrn" else None
-    n_x = n_y = e = None
+    x, y, n_x, n_y = state.x, state.y, state.n_x, state.n_y
+    z = gen.standard_normal(x.size)
+    z1 = float(gen.standard_normal()) if kind == "gcrn" else None
+    e = None
     if kind in _GRAD_KINDS:
-        n_x, _ = direction(target_x.grad(x))
-        n_y, _ = direction(target_y.grad(y))
+        if n_x is _UNSET:
+            n_x, _ = direction(target_x.grad(x))
+        if n_y is _UNSET:
+            n_y, _ = direction(target_y.grad(y))
         if n_x is None or n_y is None:
             kind = "crn"
-    if kind == "reflection":
-        e, _ = direction(x - y)
+    elif kind == "reflection":
+        e, _ = direction(*state.difference())
         if e is None:
             kind = "crn"
+    if kind == "crn":
+        hz = h * z
+        return x + hz, y + hz, kind, n_x, n_y
     zx, zy = couple_increments(kind, z, z1=z1, n_x=n_x, n_y=n_y, e=e)
-    return x + h * zx, y + h * zy, kind
+    return x + h * zx, y + h * zy, kind, n_x, n_y
 
 
 def _rwm_pair_step(state, kind, delta, h, target_x, target_y, rng: RngStream):
@@ -292,17 +346,20 @@ def _rwm_pair_step(state, kind, delta, h, target_x, target_y, rng: RngStream):
     if h <= 0:
         raise ValueError("step size h must be positive")
     lp_x, lp_y = _start_densities(state, target_x, target_y)
-    x, y = state.x, state.y
+    x, y, n_x, n_y = state.x, state.y, state.n_x, state.n_y
+    gen = rng.generator
     if state.met:
         kind = "common"
     elif kind == "two-scale":
-        kind = "gcrn" if float(np.dot(x - y, x - y)) >= delta else "reflection-maximal"
+        kind = "gcrn" if state.difference()[1] >= delta else "reflection-maximal"
 
     if kind == "common":
         # both chains move with one shared draw, staying identical
-        prop_x = prop_y = x + h * rng.standard_normal(x.size)
+        prop_x = prop_y = x + h * gen.standard_normal(x.size)
     elif kind in _INCREMENT_KINDS:
-        prop_x, prop_y, kind = _increment_proposals(kind, x, y, h, target_x, target_y, rng)
+        prop_x, prop_y, kind, n_x, n_y = _increment_proposals(
+            kind, state, h, target_x, target_y, gen
+        )
     elif kind == "reflection-maximal":
         prop_x, prop_y, _ = reflection_maximal_pair(x, y, h, rng)
     else:  # maximal-independent; the public steps validate kinds
@@ -310,13 +367,17 @@ def _rwm_pair_step(state, kind, delta, h, target_x, target_y, rng: RngStream):
         law_x, law_y = (AnisotropicGaussian(c, axis, h, h) for c in (x, y))
         prop_x, prop_y, _ = maximal_independent_pair(law_x, law_y, rng)
 
-    u = float(rng.uniform())
+    u = gen.random()
+    log_u = math.log(u) if u > 0.0 else None  # accept_log_ratio's test, log u taken once
     # coalesced proposals are one array, so its density is evaluated once
     lp_prop_x = target_x.log_density(prop_x)
     lp_prop_y = lp_prop_x if prop_y is prop_x else target_y.log_density(prop_y)
-    x, lp_x = metropolis(x, lp_x, prop_x, lp_prop_x, u)
-    y, lp_y = metropolis(y, lp_y, prop_y, lp_prop_y, u)
-    return _next_state(state, x, lp_x, y, lp_y, kind, meets=target_y is target_x)
+    r_x, r_y = lp_prop_x - lp_x, lp_prop_y - lp_y
+    if r_x >= 0.0 or log_u is None or log_u <= r_x:
+        x, lp_x = prop_x, lp_prop_x
+    if r_y >= 0.0 or log_u is None or log_u <= r_y:
+        y, lp_y = prop_y, lp_prop_y
+    return _next_state(state, x, lp_x, y, lp_y, kind, target_y is target_x, n_x, n_y)
 
 
 def coupled_rwm_step(
@@ -406,13 +467,14 @@ def coupled_hug_hop_step(
     # Hop phase
     law_x = hop_proposal_law(x_cur, hop, target)
     law_y = None if state.met else hop_proposal_law(y_cur, hop, target)
-    sq = float(np.dot(x_cur - y_cur, x_cur - y_cur))
-    branch = "hop-gcrn" if sq >= delta_hop else "hop-maximal"
     if state.met:
         branch = "common"
     elif law_x is None or law_y is None:
         # degenerate gradient: shared draws, each defined chain proposes alone
         branch = "hop-degenerate"
+    else:
+        sq = float(np.dot(x_cur - y_cur, x_cur - y_cur))
+        branch = "hop-gcrn" if sq >= delta_hop else "hop-maximal"
     if branch == "hop-maximal":
         prop_x, prop_y, _ = maximal_independent_pair(law_x, law_y, rng)
     else:

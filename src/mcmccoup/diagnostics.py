@@ -158,8 +158,7 @@ def run_replicates(
         tau = math.inf
         for u in range(1, max_iter + 2):
             if store_trace:
-                gap = state.x - state.y
-                trace.append(float(np.dot(gap, gap)))
+                trace.append(state.difference()[1])
             if u > max_iter:
                 break
             state = step(state, rng)

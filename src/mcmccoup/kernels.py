@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -55,9 +56,12 @@ def metropolis(x, lp_x: float, prop, lp_prop: float, u: float, *correction: floa
     return x, lp_x
 
 
-def direction(v: np.ndarray):
-    """(v / ||v||, ||v||), or (None, ||v||) when the norm is zero or not finite."""
-    n = math.sqrt(float(v.dot(v)))  # np.linalg.norm of a 1-d array, bit for bit
+def direction(v: np.ndarray, sq: Optional[float] = None):
+    """(v / ||v||, ||v||), or (None, ||v||) when the norm is zero or not finite.
+
+    sq is float(v.dot(v)) when the caller has already formed it.
+    """
+    n = math.sqrt(float(v.dot(v)) if sq is None else sq)  # np.linalg.norm, bit for bit
     if n == 0.0 or not math.isfinite(n):
         return None, n
     return v / n, n

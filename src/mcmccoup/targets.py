@@ -115,19 +115,24 @@ class Ar1Gaussian(TargetModel):
         self._c = 1.0 / (1.0 - corr * corr)
 
     def _precision_apply(self, x):
+        # inner rows c ((1 + r^2) x_i - r (x_{i-1} + x_{i+1})), formed in
+        # place; the two end rows are then written over
         r, c = self.corr, self._c
-        out = np.empty_like(x)
+        out = np.multiply(x, 1.0 + r * r)
+        mid, side = out[1:-1], np.add(x[:-2], x[2:])
+        side *= r
+        mid -= side
+        mid *= c
         out[0] = c * (x[0] - r * x[1])
         out[-1] = c * (x[-1] - r * x[-2])
-        if x.size > 2:
-            out[1:-1] = c * ((1.0 + r * r) * x[1:-1] - r * (x[:-2] + x[2:]))
         return out
 
     def log_density(self, x):
         return -0.5 * float(np.dot(x, self._precision_apply(x)))
 
     def grad(self, x):
-        return -self._precision_apply(x)
+        g = self._precision_apply(x)
+        return np.negative(g, out=g)
 
     def sample(self, rng):
         z = rng.standard_normal(self.dim)
@@ -248,7 +253,7 @@ class SvmPosterior(TargetModel):
     def log_density(self, x):
         ar = self.params.phi * x[:-1] - x[1:]
         return -0.5 * (
-            float(x.sum())
+            float(np.add.reduce(x))  # x.sum() without its Python wrapper, bit for bit
             + float(self._y2b.dot(np.exp(-x)))
             + self._s2inv * float(ar.dot(ar))
             + self._edge * x[0] * x[0]

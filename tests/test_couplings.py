@@ -32,10 +32,20 @@ from mcmccoup.couplings import (
     maximal_independent_pair,
     reflection_maximal_pair,
 )
-from mcmccoup.kernels import AnisotropicGaussian, HopParams, HugParams
+from mcmccoup.diagnostics import run_replicates
+from mcmccoup.kernels import (
+    AnisotropicGaussian,
+    HopParams,
+    HugParams,
+    direction,
+    hop_accept,
+    hop_proposal_law,
+    metropolis,
+)
 from mcmccoup.ode_limits import rho_limit
 from mcmccoup.targets import (
     DEFAULT_SVM_PARAMS,
+    Ar1Gaussian,
     DiagonalGaussian,
     SphericalGaussian,
     SvmPosterior,
@@ -381,6 +391,22 @@ def test_meeting_is_sticky_and_bitwise():
         assert state.x is state.y
 
 
+@pytest.mark.parametrize("kind", ["crn", "gcrn"])
+def test_meeting_needs_the_full_comparison(kind):
+    # two distinct proposal arrays can round to one point: 1e-20 + z_i == z_i,
+    # so the pair meets on its first step although no coalescing branch ran.
+    # gcrn falls back to crn here, since y at the mode has no gradient direction
+    x0, y0 = np.full(5, 1e-20), np.zeros(5)
+    state = coupled_rwm_step(
+        CoupledChainState(x=x0, y=y0), CouplingSpec(kind), 1.0, SphericalGaussian(5),
+        RngStream(3, 0),
+    )
+    assert state.branch == "crn"
+    assert state.met and state.t == 1
+    z = RngStream(3, 0).standard_normal(5)
+    assert np.array_equal(state.x, x0 + z) and np.array_equal(state.x, y0 + z)
+
+
 def test_coupled_step_determinism():
     target = DiagonalGaussian(np.array([1.0, 0.5]))
     spec = CouplingSpec("gcrn")
@@ -578,17 +604,75 @@ def test_cached_densities_match_recomputed():
         assert runs[0] == runs[1], name
 
 
+def _snapshot(state):
+    return (state.x.tobytes(), state.y.tobytes(), state.t, state.met, state.branch,
+            state.lp_x, state.lp_y)
+
+
+def test_cached_directions_match_recomputed():
+    # every step starts from a copy with its direction and gap caches
+    # cleared (replace keeps the densities), so each is recomputed
+    for i, (name, step, start) in enumerate(_step_makers()):
+        runs, carried = [], 0
+        for clear in (False, True):
+            rng = RngStream(seed=1002, stream_id=i)
+            x, y = start(rng)
+            state = CoupledChainState(x=x, y=y)
+            path = []
+            for _ in range(300):
+                if clear:
+                    state = dataclasses.replace(state)
+                else:
+                    carried += state.n_x is not couplings._UNSET or state.gap is not None
+                state = step(state, rng)
+                path.append(_snapshot(state))
+            runs.append(path)
+        assert runs[0] == runs[1], name
+        if name.split("-", 1)[-1] in _CROSS_KINDS[1:] + ("two-scale",):
+            assert carried > 0, name  # the caches were in use
+
+
+def test_replaced_state_steps_like_a_fresh_one():
+    # dataclasses.replace drops the caches that belong to the old positions
+    target = DiagonalGaussian(np.array([1.0, 0.5, 2.0]))
+    for kind in ("gcrn", "reflection", "two-scale"):
+        spec = CouplingSpec(kind, delta=0.5 if kind == "two-scale" else None)
+        rng = RngStream(seed=1003)
+        state = CoupledChainState(x=target.sample(rng), y=target.sample(rng))
+        for _ in range(1000):
+            prev, state = state, coupled_rwm_step(state, spec, 1.5, target, rng)
+            if not state.met and state.x is prev.x and state.y is prev.y:
+                break
+        state.difference()
+        assert state.n_x is not couplings._UNSET or kind == "reflection"
+        assert state.gap is not None
+        new_x = target.sample(rng)
+        replaced = dataclasses.replace(state, x=new_x, lp_x=None)
+        fresh = CoupledChainState(x=new_x, y=state.y, t=state.t, lp_y=state.lp_y)
+        paths = []
+        for st in (replaced, fresh):
+            rng = RngStream(seed=1004)
+            path = []
+            for _ in range(20):
+                st = coupled_rwm_step(st, spec, 1.5, target, rng)
+                path.append(_snapshot(st))
+            paths.append(path)
+        assert paths[0] == paths[1], kind
+
+
 class _CountingTarget(TargetModel):
     def __init__(self, inner: TargetModel):
         self.inner = inner
         self.dim = inner.dim
         self.calls = 0
+        self.grads = 0
 
     def log_density(self, x):
         self.calls += 1
         return self.inner.log_density(x)
 
     def grad(self, x):
+        self.grads += 1
         return self.inner.grad(x)
 
 
@@ -622,6 +706,24 @@ def test_rwm_step_evaluates_only_the_proposals(kind, monkeypatch):
         assert target.calls - before == expected + (2 if i == 0 else 0)
 
 
+@pytest.mark.parametrize("kind", ("gcrn", "gcrn-rotation", "gcrn-reflect"))
+def test_gcrn_step_takes_gradients_only_where_a_chain_moved(kind):
+    # both directions on the first step, then one per chain that moved on
+    # the step before: none after a double rejection
+    target = _CountingTarget(SphericalGaussian(dim=3))
+    rng = RngStream(seed=80)
+    state = CoupledChainState(x=np.array([1.0, -1.0, 0.5]), y=np.array([-0.5, 0.5, 2.0]))
+    expected, seen = 2, set()
+    for _ in range(400):
+        before = target.grads
+        nxt = coupled_rwm_step(state, CouplingSpec(kind), 1.5, target, rng)
+        assert target.grads - before == expected
+        seen.add(expected)
+        expected = (nxt.x is not state.x) + (nxt.y is not state.y)
+        state = nxt
+    assert seen == {0, 1, 2}
+
+
 def test_cross_target_step_evaluates_only_the_proposals():
     post, surrogate = _svm_pair()
     target_x, target_y = _CountingTarget(post), _CountingTarget(surrogate)
@@ -650,3 +752,195 @@ def test_non_finite_starting_density_is_named():
             cross_target_coupled_step(
                 CoupledChainState(x=bad, y=good), 0.5, post, surrogate, "gcrn", rng
             )
+
+
+# --- the pair step as it was before directions and the gap rode in the state,
+# kept as the bitwise reference of the one RWM pair-step core
+
+def _reference_pair_step(state, kind, delta, h, target_x, target_y, rng):
+    lp_x = target_x.log_density(state.x) if state.lp_x is None else state.lp_x
+    if state.met:
+        lp_y = lp_x
+    else:
+        lp_y = target_y.log_density(state.y) if state.lp_y is None else state.lp_y
+    x, y = state.x, state.y
+    if state.met:
+        kind = "common"
+    elif kind == "two-scale":
+        kind = "gcrn" if float(np.dot(x - y, x - y)) >= delta else "reflection-maximal"
+    if kind == "common":
+        prop_x = prop_y = x + h * rng.standard_normal(x.size)
+    elif kind in _CROSS_KINDS:
+        z = rng.standard_normal(x.size)
+        z1 = float(rng.standard_normal()) if kind == "gcrn" else None
+        n_x = n_y = e = None
+        if kind.startswith("gcrn"):
+            n_x, _ = direction(target_x.grad(x))
+            n_y, _ = direction(target_y.grad(y))
+            if n_x is None or n_y is None:
+                kind = "crn"
+        if kind == "reflection":
+            e, _ = direction(x - y)
+            if e is None:
+                kind = "crn"
+        zx, zy = couple_increments(kind, z, z1=z1, n_x=n_x, n_y=n_y, e=e)
+        prop_x, prop_y = x + h * zx, y + h * zy
+    elif kind == "reflection-maximal":
+        prop_x, prop_y, _ = reflection_maximal_pair(x, y, h, rng)
+    else:
+        axis = np.eye(1, x.size)[0]
+        law_x, law_y = (AnisotropicGaussian(c, axis, h, h) for c in (x, y))
+        prop_x, prop_y, _ = maximal_independent_pair(law_x, law_y, rng)
+    u = float(rng.uniform())
+    lp_prop_x = target_x.log_density(prop_x)
+    lp_prop_y = lp_prop_x if prop_y is prop_x else target_y.log_density(prop_y)
+    x, lp_x = metropolis(x, lp_x, prop_x, lp_prop_x, u)
+    y, lp_y = metropolis(y, lp_y, prop_y, lp_prop_y, u)
+    met = target_y is target_x and (state.met or x is y or bool((x == y).all()))
+    if met:
+        y, lp_y = x, lp_x
+    return CoupledChainState(x=x, y=y, t=state.t + 1, met=met, branch=kind, lp_x=lp_x, lp_y=lp_y)
+
+
+def _reference_hug_hop_step(state, hug, hop, delta_hop, target, rng):
+    x_cur, lp_x, y_cur, lp_y = couplings._hug_phase(state, hug, target, rng)
+    law_x = hop_proposal_law(x_cur, hop, target)
+    law_y = None if state.met else hop_proposal_law(y_cur, hop, target)
+    sq = float(np.dot(x_cur - y_cur, x_cur - y_cur))
+    branch = "hop-gcrn" if sq >= delta_hop else "hop-maximal"
+    if state.met:
+        branch = "common"
+    elif law_x is None or law_y is None:
+        branch = "hop-degenerate"
+    if branch == "hop-maximal":
+        prop_x, prop_y, _ = maximal_independent_pair(law_x, law_y, rng)
+    else:
+        z = rng.standard_normal(x_cur.size)
+        z1 = float(rng.standard_normal())
+        prop_x = law_x.center + law_x.displacement(z, z1) if law_x is not None else None
+        prop_y = law_y.center + law_y.displacement(z, z1) if law_y is not None else None
+    u_hop = float(rng.uniform())
+    if law_x is not None:
+        x_cur, lp_x = hop_accept(x_cur, lp_x, law_x, prop_x, u_hop, hop, target)
+    if law_y is not None:
+        y_cur, lp_y = hop_accept(y_cur, lp_y, law_y, prop_y, u_hop, hop, target)
+    met = state.met or x_cur is y_cur or bool((x_cur == y_cur).all())
+    if met:
+        y_cur, lp_y = x_cur, lp_x
+    return CoupledChainState(
+        x=x_cur, y=y_cur, t=state.t + 1, met=met, branch=branch, lp_x=lp_x, lp_y=lp_y
+    )
+
+
+def _paths(step, start, seed, n_steps=300):
+    rng = RngStream(seed=seed)
+    x, y = start(rng)
+    state = CoupledChainState(x=x, y=y)
+    path = []
+    for _ in range(n_steps):
+        state = step(state, rng)
+        path.append(_snapshot(state))
+    return path
+
+
+@pytest.mark.parametrize("kind", COUPLING_KINDS)
+def test_pair_step_equals_the_reference_bit_for_bit(kind):
+    delta = 0.5 if kind == "two-scale" else None
+    spec = CouplingSpec(kind, delta=delta)
+    met = 0
+    for i, target in enumerate(
+        (DiagonalGaussian(np.array([1.0, 0.5, 2.0])), Ar1Gaussian(8, 0.5), SphericalGaussian(4))
+    ):
+        h = 2.38 / math.sqrt(target.dim)
+
+        def start(rng):
+            return target.sample(rng), target.sample(rng)
+
+        new = _paths(lambda st, rng: coupled_rwm_step(st, spec, h, target, rng), start, 1100 + i)
+        ref = _paths(lambda st, rng: _reference_pair_step(st, kind, delta, h, target, target, rng),
+                     start, 1100 + i)
+        assert new == ref, (kind, target.kind)
+        met += new[-1][3]
+    if kind in ("reflection-maximal", "maximal-independent", "two-scale"):
+        assert met > 0  # the common phase after a meeting is covered too
+
+
+@pytest.mark.parametrize("kind", _CROSS_KINDS)
+def test_cross_target_step_equals_the_reference_bit_for_bit(kind):
+    post, surrogate = _svm_pair()
+
+    def start(rng):
+        return post.prior_sample(rng), surrogate.sample(rng)
+
+    new = _paths(lambda st, rng: cross_target_coupled_step(st, 0.1, post, surrogate, kind, rng),
+                 start, 1200)
+    ref = _paths(lambda st, rng: _reference_pair_step(st, kind, None, 0.1, post, surrogate, rng),
+                 start, 1200)
+    assert new == ref
+
+
+def test_hug_hop_step_equals_the_reference_bit_for_bit():
+    target = DiagonalGaussian(np.array([1.0, 0.5, 2.0]))
+    hug, hop = HugParams(total_time=0.5, bounces=5), HopParams(lam=1.0, mu=1.0)
+
+    def start(rng):
+        return target.sample(rng), target.sample(rng)
+
+    new = _paths(lambda st, rng: coupled_hug_hop_step(st, hug, hop, 0.5, target, rng), start, 1300)
+    ref = _paths(lambda st, rng: _reference_hug_hop_step(st, hug, hop, 0.5, target, rng),
+                 start, 1300)
+    assert new == ref
+    assert new[-1][3]  # the met phase, where the distance is no longer formed
+
+
+def _reference_replicates(step, start, lag, n_replicates, max_iter, seed):
+    """run_replicates' loop as it was: the trace forms its own gap."""
+    records, traces = [], []
+    for r in range(n_replicates):
+        rng = RngStream(seed, r)
+        x0, y0 = start(rng)
+        lead = CoupledChainState(x=x0, y=x0, t=0, met=True)
+        for _ in range(lag):
+            lead = step(lead, rng)
+        state = CoupledChainState(x=lead.x, y=y0, t=0, met=False, lp_x=lead.lp_x)
+        trace, tau = [], math.inf
+        for u in range(1, max_iter + 2):
+            gap = state.x - state.y
+            trace.append(float(np.dot(gap, gap)))
+            if u > max_iter:
+                break
+            state = step(state, rng)
+            if state.met:
+                tau = lag + u
+                break
+        records.append(tau)
+        traces.append(np.asarray(trace).tobytes())
+    return records, traces
+
+
+@pytest.mark.parametrize("lag", [0, 40])
+def test_replicate_traces_equal_the_reference_bit_for_bit(lag):
+    # two-scale on the svm posterior: the switch, the trace and the
+    # reflection-maximal branch all meet the gap the state carries
+    post, _ = _svm_pair(d=10)
+    spec = CouplingSpec("two-scale", delta=1.0)
+    branches = []
+
+    def step(st, rng):
+        st = coupled_rwm_step(st, spec, 0.1, post, rng)
+        branches.append(st.branch)
+        return st
+
+    def ref_step(st, rng):
+        return _reference_pair_step(st, "two-scale", 1.0, 0.1, post, post, rng)
+
+    def start(rng):
+        return post.prior_sample(rng), post.prior_sample(rng)
+
+    records, traces = run_replicates(step, start, lag, 4, 2000, 1400)
+    ref_records, ref_traces = _reference_replicates(ref_step, start, lag, 4, 2000, 1400)
+    assert [rec.tau for rec in records] == ref_records
+    assert [tr.tobytes() for tr in traces] == ref_traces
+    assert {"gcrn", "reflection-maximal"} <= set(branches)
+    assert ("common" in branches) == (lag > 0)
+    assert any(math.isfinite(tau) for tau in ref_records)

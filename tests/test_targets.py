@@ -66,6 +66,23 @@ def test_ar1_precision_matches_dense_inverse():
     assert model.log_density(x) == pytest.approx(-0.5 * x @ omega @ x, rel=1e-9)
 
 
+def test_ar1_precision_product_is_the_plain_expression_bit_for_bit():
+    # the in-place product against the expression it replaced
+    for d, r in ((2, 0.5), (3, -0.3), (400, 0.5)):
+        model = Ar1Gaussian(d, r)
+        c = model._c
+        rng = RngStream(9, d)
+        for _ in range(20):
+            x = rng.standard_normal(d)
+            ref = np.empty_like(x)
+            ref[0] = c * (x[0] - r * x[1])
+            ref[-1] = c * (x[-1] - r * x[-2])
+            if d > 2:
+                ref[1:-1] = c * ((1.0 + r * r) * x[1:-1] - r * (x[:-2] + x[2:]))
+            assert model.grad(x).tobytes() == (-ref).tobytes()
+            assert model.log_density(x) == -0.5 * float(np.dot(x, ref))
+
+
 def test_ar1_trace_ratios_against_dense_matrices():
     d, r = 50, 0.5
     model = Ar1Gaussian(d, r)
@@ -184,6 +201,17 @@ def test_svm_log_density_matches_naive_loop():
         if t < 29:
             total += (phi * x[t] - x[t + 1]) ** 2 / sigma**2
     assert model.log_density(x) == pytest.approx(-0.5 * total, rel=1e-12)
+    # bit for bit the expression with ndarray.sum it replaced
+    for scale in (0.4, 3.0):
+        x = scale * rng.standard_normal(30)
+        ar = phi * x[:-1] - x[1:]
+        ref = -0.5 * (
+            float(x.sum())
+            + float(model._y2b.dot(np.exp(-x)))
+            + model._s2inv * float(ar.dot(ar))
+            + model._edge * x[0] * x[0]
+        )
+        assert model.log_density(x) == ref
 
 
 def test_laplace_fit_recovers_dense_gaussian():
